@@ -298,17 +298,20 @@ def _coefficients(config, grid):
 
 
 class RunReport(object):
-    """Config echo plus named checks; overall pass means every check passed.
+    """Config echo, diagnostics and named checks; overall pass means every
+    check passed.
 
-    body() is the deterministic report text; wall_time is carried on the
-    object but never written into the body.
+    body() is the deterministic report text; diagnostics are extra
+    deterministic "diag ..." lines (iteration counts, residuals).
+    wall_time is carried on the object but never written into the body.
     """
 
-    def __init__(self, command, config, checks, wall_time):
+    def __init__(self, command, config, checks, wall_time, diagnostics=()):
         self.command = command
         self.config = config
         self.checks = sorted(checks, key=lambda c: c.name)
         self.wall_time = float(wall_time)
+        self.diagnostics = list(diagnostics)
 
     @property
     def passed(self):
@@ -319,6 +322,7 @@ class RunReport(object):
         for key in _ECHO_KEYS:
             lines.append("%s = %s" % (key, _fmt(getattr(self.config, key))))
         lines.append("rng: numpy PCG64, seed=%d" % self.config.seed)
+        lines.extend("diag %s" % line for line in self.diagnostics)
         for check in self.checks:
             lines.append("check %s: measured=%s threshold=%s %s"
                          % (check.name, repr(float(check.measured)),
@@ -546,7 +550,11 @@ def run_ionorm(config):
                                    repr(float(est.norm_estimate)),
                                    est.nsteps))
     csv_text = "\n".join(lines) + "\n"
-    report = RunReport("ionorm", config, checks, time.perf_counter() - start)
+    diagnostics = ["io_map_norm T=%s: method=%s iterations=%d residual=%s"
+                   % (repr(float(est.horizon)), est.method, est.iterations,
+                      repr(float(est.residual))) for est in estimates]
+    report = RunReport("ionorm", config, checks, time.perf_counter() - start,
+                       diagnostics)
     return report, csv_text
 
 

@@ -13,13 +13,15 @@ The input/output map on a horizon T is estimated by projecting inputs
 onto piecewise constants and outputs onto per-step averages, which gives
 a block lower-triangular Toeplitz matrix whose operator norm never
 exceeds the true map norm and converges to it with O(1/nsteps) bias.
+That norm comes from a matrix-free Golub-Kahan-Lanczos bidiagonalization
+whose Ritz value is itself a lower bound and carries its own residual.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .numkernel import Gram, as_complex_matrix, expm, op_norm, svd_solve
+from .numkernel import Gram, as_complex_matrix, expm, svd_solve
 from .sysnode import SystemNode
 
 __all__ = [
@@ -32,7 +34,9 @@ __all__ = [
     "feedthrough_deviation",
 ]
 
-DENSE_BLOCK_LIMIT = 512
+_GKL_RTOL = 1e-5
+_GKL_CHECK_EVERY = 4
+_GKL_MAX_STEPS = 512
 
 
 def cn_step(a, dt):
@@ -93,13 +97,18 @@ class Trajectory(object):
 
 
 IoMapEstimate = namedtuple(
-    "IoMapEstimate", ["horizon", "nsteps", "norm_estimate", "method", "bias"])
+    "IoMapEstimate", ["horizon", "nsteps", "norm_estimate", "method", "bias",
+                      "iterations", "residual"])
 IoMapEstimate.__doc__ = """Finite-horizon input/output-map norm estimate.
 
-norm_estimate is the operator norm of the zero-order-hold Toeplitz
-discretization; it lower-bounds the true map norm and converges with
-O(1/nsteps) resolution bias, recorded as bias = norm_estimate/nsteps.
-method is "toeplitz_svd" (dense) or "power_iteration" (matrix-free).
+norm_estimate is the largest Ritz value of a Lanczos bidiagonalization
+of the zero-order-hold Toeplitz discretization.  It lower-bounds the
+Toeplitz operator norm, which lower-bounds the true map norm and
+converges to it with O(1/nsteps) resolution bias, recorded as
+bias = norm_estimate/nsteps.  method is "lanczos_bidiag"; iterations is
+the number of bidiagonalization steps and residual the Ritz residual
+||T^H u - norm_estimate v||, at most 1e-5 * norm_estimate unless the
+step cap stopped the run.
 """
 
 
@@ -306,67 +315,113 @@ def _toeplitz_blocks(node, T, nsteps):
     return blocks
 
 
-def _dense_toeplitz_norm(blocks):
-    nsteps, p, m = blocks.shape
-    full = np.zeros((nsteps * p, nsteps * m), dtype=complex)
-    for k in range(nsteps):
-        for i in range(k, nsteps):
-            full[i * p:(i + 1) * p, (i - k) * m:(i - k + 1) * m] = blocks[k]
-    return op_norm(full)
-
-
 def _fft_kernel(blocks):
+    """Spectrum of the blocks zero-padded to a power of two >= 2 nsteps.
+
+    The padding makes the circular convolution agree with the linear one
+    on the first nsteps samples.  Real blocks give the half spectrum.
+    """
     nsteps = blocks.shape[0]
     size = 1
     while size < 2 * nsteps:
         size *= 2
-    padded = np.zeros((size,) + blocks.shape[1:], dtype=complex)
-    padded[:nsteps] = blocks
-    return np.fft.fft(padded, axis=0)
+    if np.isrealobj(blocks):
+        return np.fft.rfft(blocks, n=size, axis=0)
+    return np.fft.fft(blocks, n=size, axis=0)
 
 
-def _block_convolve(kernel_fft, vec, nsteps):
-    size = kernel_fft.shape[0]
-    padded = np.zeros((size, vec.shape[1]), dtype=complex)
-    padded[:nsteps] = vec
-    vf = np.fft.fft(padded, axis=0)
-    yf = np.einsum("kpm,km->kp", kernel_fft, vf)
-    return np.fft.ifft(yf, axis=0)[:nsteps]
+def _block_convolve(kernel_fft, vec):
+    """First nsteps samples of the block convolution of kernel and vec.
+
+    A real vec takes kernel_fft as a half spectrum (rfft).  The adjoint
+    Toeplitz operator is this same call with the per-frequency conjugate
+    transpose of the kernel: that is the adjoint of the padded circulant,
+    and the padding keeps its wrapped part out of the first nsteps samples.
+    """
+    if np.isrealobj(vec):
+        size = 2 * (kernel_fft.shape[0] - 1)
+        forward, inverse = np.fft.rfft, np.fft.irfft
+    else:
+        size = kernel_fft.shape[0]
+        forward, inverse = np.fft.fft, np.fft.ifft
+    yf = np.einsum("kpm,km->kp", kernel_fft, forward(vec, n=size, axis=0))
+    return inverse(yf, n=size, axis=0)[:vec.shape[0]]
 
 
-def _power_toeplitz_norm(blocks):
-    """Largest singular value of the block Toeplitz operator, matrix-free.
+def _ritz(alphas, betas):
+    """Largest singular value of the upper bidiagonal B_k and its residual.
 
-    Power iteration on T*T with FFT block convolutions; the adjoint is a
-    convolution with conjugate-transposed blocks against the reversed
-    vector.
+    The residual beta_k |e_k^T p_1|, with p_1 the top left singular vector
+    of B_k, is ||T^H u - theta v|| for the Ritz pair (u, v) = (U_k p_1,
+    V_k q_1); T v = theta u holds exactly.
+    """
+    bidiag = np.diag(alphas) + np.diag(betas[:-1], 1)
+    left, sing, _ = np.linalg.svd(bidiag)
+    return float(sing[0]), float(betas[-1] * abs(left[-1, 0]))
+
+
+def _toeplitz_norm(blocks, max_steps=_GKL_MAX_STEPS):
+    """Largest singular value of the block lower-triangular Toeplitz operator.
+
+    Golub-Kahan-Lanczos bidiagonalization T V_k = U_k B_k from a fixed
+    random start, matrix-free through FFT block convolutions (of T^H
+    instead when p < m, so that V lies on the smaller side).  Only V is
+    stored and fully reorthogonalized (Gram-Schmidt twice); each U vector
+    lives for one step.  Real blocks run in float64.  Returns
+    (theta, iterations, residual): theta, the largest Ritz value,
+    lower-bounds the operator norm.  The Ritz residual is checked every
+    _GKL_CHECK_EVERY steps and the run stops once it is at most
+    _GKL_RTOL * theta, on breakdown (then theta is exact) or after
+    min(max_steps, nsteps p, nsteps m) steps, where the residual shows
+    how far the run was from converging.
     """
     nsteps, p, m = blocks.shape
+    if not blocks.imag.any():
+        blocks = blocks.real
     fwd = _fft_kernel(blocks)
-    adj = _fft_kernel(np.conj(np.transpose(blocks, (0, 2, 1))))
+    adj = np.conj(np.transpose(fwd, (0, 2, 1)))
+    if p < m:
+        # ||T|| = ||T^H||: keep the stored basis on the smaller side, where
+        # exhausting it ends in an exact breakdown
+        fwd, adj, p, m = adj, fwd, m, p
+    cap = min(int(max_steps), nsteps * m)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((nsteps, m)) + 1j * rng.standard_normal((nsteps, m))
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(500):
-        w = _block_convolve(fwd, v, nsteps)
-        z = _block_convolve(adj, w[::-1], nsteps)[::-1]
-        new_sigma = np.linalg.norm(w)
-        scale = np.linalg.norm(z)
-        if scale == 0.0:
-            return 0.0
-        v = z / scale
-        if abs(new_sigma - sigma) <= 1e-12 * max(new_sigma, 1.0):
-            sigma = new_sigma
+    start = rng.standard_normal(nsteps * m)
+    if np.iscomplexobj(blocks):
+        start = start + 1j * rng.standard_normal(nsteps * m)
+    # rows past the last step are never written, so their pages never
+    # become resident
+    basis = np.empty((cap, nsteps * m), dtype=start.dtype)
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas = [], []
+    u, beta = 0.0, 0.0
+    for k in range(cap):
+        w = _block_convolve(fwd, basis[k].reshape(nsteps, m)).ravel()
+        w -= beta * u
+        alpha = float(np.linalg.norm(w))
+        if alpha <= 1e-14 * beta:
+            # T maps the new v into span(U): the Krylov spaces are
+            # invariant and B's norm is exact (a zero operator gives 0)
+            alphas.append(0.0)
+            betas.append(0.0)
             break
-        sigma = new_sigma
-    return float(sigma)
-
-
-def _toeplitz_norm(blocks):
-    if blocks.shape[0] <= DENSE_BLOCK_LIMIT:
-        return _dense_toeplitz_norm(blocks), "toeplitz_svd"
-    return _power_toeplitz_norm(blocks), "power_iteration"
+        u = w / alpha
+        r = (_block_convolve(adj, u.reshape(nsteps, p)).ravel()
+             - alpha * basis[k])
+        for _ in range(2):
+            r -= (basis[:k + 1] @ r.conj()).conj() @ basis[:k + 1]
+        beta = float(np.linalg.norm(r))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta <= 1e-14 * alpha or k + 1 == cap:
+            break
+        if (k + 1) % _GKL_CHECK_EVERY == 0:
+            theta, residual = _ritz(alphas, betas)
+            if residual <= _GKL_RTOL * theta:
+                return theta, k + 1, residual
+        basis[k + 1] = r / beta
+    theta, residual = _ritz(alphas, betas)
+    return theta, len(alphas), residual
 
 
 def io_map_norm(node, T, nsteps):
@@ -374,16 +429,18 @@ def io_map_norm(node, T, nsteps):
 
     Assembles the zero-order-hold Toeplitz discretization and returns its
     operator norm: a lower bound of the true L^2(0,T) map norm with
-    O(1/nsteps) resolution bias (recorded in the estimate).  Dense SVD up
-    to 512 blocks, deterministic power iteration beyond.
+    O(1/nsteps) resolution bias (recorded in the estimate).  The norm is
+    the top Ritz value of a deterministic matrix-free Lanczos
+    bidiagonalization, reported with its step count and Ritz residual.
     """
     if not isinstance(node, SystemNode):
         raise TypeError("io_map_norm expects a SystemNode")
     blocks = _toeplitz_blocks(node, T, nsteps)
-    norm, method = _toeplitz_norm(blocks)
+    norm, iterations, residual = _toeplitz_norm(blocks)
     return IoMapEstimate(horizon=float(T), nsteps=int(nsteps),
-                         norm_estimate=float(norm), method=method,
-                         bias=float(norm) / int(nsteps))
+                         norm_estimate=norm, method="lanczos_bidiag",
+                         bias=norm / int(nsteps), iterations=iterations,
+                         residual=residual)
 
 
 def feedthrough_deviation(node, t_list, nsteps):
@@ -399,6 +456,5 @@ def feedthrough_deviation(node, t_list, nsteps):
     for horizon in t_list:
         blocks = _toeplitz_blocks(node, horizon, nsteps)
         blocks[0] = blocks[0] - node.d
-        norm, _ = _toeplitz_norm(blocks)
-        deviations.append(float(norm))
+        deviations.append(_toeplitz_norm(blocks)[0])
     return deviations

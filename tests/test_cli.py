@@ -1,9 +1,11 @@
-import shutil
+import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import semilab
 from semilab.cli import (
     ExperimentConfig,
     parse_config,
@@ -246,6 +248,30 @@ class TestMain:
         assert main(["ionorm", cfg, "--out", str(out)]) == 0
         assert (out / "ionorm.csv").exists()
 
+    def test_ionorm_diagnostics_are_deterministic(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            "experiment = ionorm\nfixture = wave_cayley\nn = 4\n"
+            "nsteps = 16\n")
+        diags = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["ionorm", cfg, "--out", str(out)]) == 0
+            body = (out / "report.txt").read_text(encoding="utf-8")
+            diags.append([line for line in body.splitlines()
+                          if line.startswith("diag ")])
+            assert (out / "ionorm.csv").read_text(
+                encoding="utf-8").startswith("T,norm_estimate,nsteps\n")
+        assert diags[0] == diags[1]
+        assert [line.split(":")[0] for line in diags[0]] == [
+            "diag io_map_norm T=%r" % t for t in (0.25, 0.5, 1.0, 2.0)]
+        for line in diags[0]:
+            fields = dict(kv.split("=") for kv in
+                          line.split(": ", 1)[1].split())
+            assert fields["method"] == "lanczos_bidiag"
+            assert int(fields["iterations"]) >= 1
+            assert float(fields["residual"]) >= 0.0
+
     def test_seed_override_is_echoed(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, VERIFY_TEXT)
         assert main(["verify", cfg, "--out", str(tmp_path / "o"),
@@ -274,13 +300,19 @@ class TestMain:
     def test_no_command_exits_two(self):
         assert main([]) == 2
 
-    @pytest.mark.skipif(shutil.which("semilab") is None,
-                        reason="console script not on PATH")
     def test_console_script(self, tmp_path):
+        # the module entry point the console script wraps, run as a fresh
+        # process that imports the same semilab package as this suite
         cfg = self.write_config(tmp_path, VERIFY_TEXT)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            semilab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
-            ["semilab", "verify", cfg, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True)
+            [sys.executable, "-m", "semilab.cli", "verify", cfg,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.endswith("overall: PASS\n")
         assert "wall time" in proc.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semilab import simkit
 from semilab.feedback import internal_loop
@@ -20,6 +22,16 @@ from conftest import random_dissipative, random_dissipative_ext
 
 def scalar_node(a, b, c, d):
     return SystemNode([[a]], [[b]], [[c]], [[d]])
+
+
+def dense_toeplitz_norm(blocks):
+    """Oracle: operator norm of the assembled block Toeplitz matrix (SVD)."""
+    nsteps, p, m = blocks.shape
+    full = np.zeros((nsteps * p, nsteps * m), dtype=complex)
+    for k in range(nsteps):
+        for i in range(k, nsteps):
+            full[i * p:(i + 1) * p, (i - k) * m:(i - k + 1) * m] = blocks[k]
+    return op_norm(full)
 
 
 class TestCnStep:
@@ -183,15 +195,23 @@ class TestIoMapNorm:
     def test_pure_feedthrough(self):
         node = scalar_node(-1.0, 0.0, 0.0, 0.5)
         est = io_map_norm(node, 1.0, 64)
-        assert est.method == "toeplitz_svd"
+        assert est.method == "lanczos_bidiag"
         assert est.norm_estimate == pytest.approx(0.5, abs=1e-12)
         assert est.bias == pytest.approx(0.5 / 64)
 
-    def test_feedthrough_power_path(self):
-        node = scalar_node(-1.0, 0.0, 0.0, 0.5)
-        est = io_map_norm(node, 1.0, 1024)
-        assert est.method == "power_iteration"
-        assert est.norm_estimate == pytest.approx(0.5, abs=1e-9)
+    @pytest.mark.parametrize("nsteps", [64, 1024])
+    def test_pure_feedthrough_breaks_down_at_step_one(self, nsteps):
+        # T = 0.5 I, so T^H u_1 - alpha_1 v_1 vanishes: beta_1 breaks down
+        # and the first Ritz value is already the exact norm
+        est = io_map_norm(scalar_node(-1.0, 0.0, 0.0, 0.5), 1.0, nsteps)
+        assert est.iterations == 1
+        assert abs(est.norm_estimate - 0.5) <= 1e-14
+        assert est.residual <= 1e-14
+
+    def test_zero_operator(self):
+        assert simkit._toeplitz_norm(np.zeros((16, 2, 3))) == (0.0, 1, 0.0)
+        est = io_map_norm(scalar_node(-1.0, 0.0, 0.0, 0.0), 1.0, 32)
+        assert est.norm_estimate == 0.0 and est.residual == 0.0
 
     def test_integrator_norm(self):
         # the integration operator on L^2(0,T) has norm 2T/pi
@@ -200,13 +220,49 @@ class TestIoMapNorm:
         true = 2.0 / np.pi
         assert est.norm_estimate <= true + 1e-12
         assert abs(est.norm_estimate - true) <= 0.02 * true
+        assert est.residual <= simkit._GKL_RTOL * est.norm_estimate
 
-    def test_dense_and_power_agree_on_same_blocks(self):
-        node = scalar_node(0.0, 1.0, 1.0, 0.0)
-        blocks = simkit._toeplitz_blocks(node, 1.0, 64)
-        dense = simkit._dense_toeplitz_norm(blocks)
-        power = simkit._power_toeplitz_norm(blocks)
-        assert abs(dense - power) <= 1e-9 * dense
+    @given(st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=4, max_value=96),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_dense_oracle(self, shape, nstates, nsteps, cplx,
+                                      seed):
+        # Tolerance: the Ritz value never exceeds the dense norm (up to
+        # 1e-12 relative rounding) and falls short of it by at most 1e-4
+        # relative.  Its residual (at most 1e-5 of it) bounds the distance
+        # to some singular value, not always the largest of a tight top
+        # cluster, hence the factor 10; the worst seen over 5000 random
+        # nodes was 7e-6.
+        p, m = shape
+        rng = np.random.default_rng(seed)
+
+        def draw(*dims):
+            x = rng.standard_normal(dims)
+            return x + 1j * rng.standard_normal(dims) if cplx else x
+
+        a = draw(nstates, nstates) - rng.uniform(0.0, 3.0) * np.eye(nstates)
+        node = SystemNode(a, draw(nstates, m), draw(p, nstates),
+                          rng.uniform(0.0, 1.0) * draw(p, m))
+        blocks = simkit._toeplitz_blocks(node, rng.uniform(0.1, 3.0), nsteps)
+        assert blocks.imag.any() == cplx
+        theta, iterations, residual = simkit._toeplitz_norm(blocks)
+        dense = dense_toeplitz_norm(blocks)
+        assert theta <= dense * (1.0 + 1e-12)
+        assert dense - theta <= 10.0 * simkit._GKL_RTOL * dense
+        assert residual <= simkit._GKL_RTOL * theta
+        assert 1 <= iterations <= nsteps * min(p, m)
+
+    def test_forced_cap_reports_residual(self):
+        blocks = simkit._toeplitz_blocks(
+            external_cayley(wave_ext(Grid1D(6))), 1.0, 64)
+        theta, iterations, residual = simkit._toeplitz_norm(blocks,
+                                                            max_steps=6)
+        assert iterations == 6
+        assert residual > simkit._GKL_RTOL * theta
+        assert theta <= dense_toeplitz_norm(blocks) * (1.0 + 1e-12)
 
     def test_monotone_in_horizon(self):
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
