@@ -24,7 +24,6 @@ from .feedback import (
 from .numkernel import (
     ContractionReport,
     Gram,
-    adjoint_compose_check,
     contraction_certificate,
     dissipativity_margin,
     expm,
@@ -59,7 +58,6 @@ from .sysnode import (
     ExtendedOperator,
     SystemNode,
     external_cayley,
-    main_operator,
     node_apply,
     passivity_check,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "a_s_via_feedback",
     "accretive_of_contraction",
     "accretivity_lower_bound",
-    "adjoint_compose_check",
     "beta_midpoints",
     "cayley_of_accretive",
     "check_admissible",
@@ -101,7 +98,6 @@ __all__ = [
     "herm_part",
     "internal_loop",
     "io_map_norm",
-    "main_operator",
     "neumann_heat_ext",
     "node_apply",
     "op_norm",

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .numkernel import (COND_LIMIT, _square, herm_part, op_norm, svd_solve)
+from .numkernel import SvdFactor, _square, herm_part, op_norm
 
 __all__ = [
     "AccretiveOperator",
@@ -78,9 +78,7 @@ def cayley_of_accretive(s):
         s = AccretiveOperator(s)
     m = s.matrix
     ident = np.eye(s.dim, dtype=complex)
-    # right-inverse through the transposed system
-    x, _ = svd_solve((m + ident).T, (m - ident).T, name="S + I")
-    return ContractionOperator(x.T)
+    return ContractionOperator(SvdFactor(m + ident, "S + I").rsolve(m - ident))
 
 
 def accretive_of_contraction(k):
@@ -94,8 +92,7 @@ def accretive_of_contraction(k):
         k = ContractionOperator(k)
     m = k.matrix
     ident = np.eye(k.dim, dtype=complex)
-    x, _ = svd_solve((ident - m).T, (ident + m).T, name="I - K")
-    return AccretiveOperator(x.T)
+    return AccretiveOperator(SvdFactor(ident - m, "I - K").rsolve(ident + m))
 
 
 def strict_contraction_bound(s):
@@ -117,11 +114,10 @@ def accretivity_lower_bound(k):
     if not isinstance(k, ContractionOperator):
         k = ContractionOperator(k)
     ident = np.eye(k.dim, dtype=complex)
-    defect = ident - k.matrix
-    sv = np.linalg.svd(defect, compute_uv=False)
-    if len(sv) and (sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT):
+    defect = SvdFactor(ident - k.matrix, "I - K")
+    if defect.singular:
         raise ValueError("I - K is singular to working precision")
-    return (1.0 - k.norm ** 2) / float(sv[0]) ** 2
+    return (1.0 - k.norm ** 2) / float(defect.sv[0]) ** 2
 
 
 def s_norm_bound(k):

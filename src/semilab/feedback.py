@@ -16,8 +16,8 @@ from collections import namedtuple
 import numpy as np
 
 from .cayley import AccretiveOperator, ContractionOperator, cayley_of_accretive
-from .numkernel import COND_LIMIT, as_complex_matrix, op_norm, svd_solve
-from .sysnode import ExtendedOperator, SystemNode, external_cayley, main_operator
+from .numkernel import SvdFactor, as_complex_matrix, op_norm
+from .sysnode import ExtendedOperator, SystemNode, external_cayley
 
 __all__ = [
     "FeedbackResult",
@@ -33,7 +33,8 @@ FeedbackResult = namedtuple(
 FeedbackResult.__doc__ = """Outcome of closing a static output feedback.
 
 closed_loop is a SystemNode when admissible, None otherwise;
-m_condition is the condition number of I - K D.
+m_condition is the unit-anchored condition number max(sigma_max, 1) /
+sigma_min of I - K D (see numkernel.SvdFactor).
 """
 
 InternalLoopResult = namedtuple(
@@ -42,7 +43,9 @@ InternalLoopResult.__doc__ = """Outcome of the internal loop through S.
 
 a_s is the n1-square matrix when the loop effect is uniquely determined,
 None when the loop is unsolvable (empty or multi-valued);
-loop_solve_condition is the condition number of I - A22 S.
+loop_solve_condition is the unit-anchored condition number
+max(sigma_max, 1) / sigma_min of I - A22 S (see numkernel.SvdFactor),
+1.0 on the A22 = 0 shortcut where the factor is I.
 """
 
 
@@ -82,45 +85,45 @@ def internal_loop(ext, s):
         # triangular case: f = A21 x directly
         a_s = ext.a11 + ext.a12 @ (sm @ ext.a21)
         return InternalLoopResult(a_s, 1.0)
-    ident = np.eye(ext.n2, dtype=complex)
-    w = ident - ext.a22 @ sm
-    u, sv, vh = np.linalg.svd(w)
-    # anchored at the unit scale of I so a uniformly tiny W counts as
-    # ill conditioned (a bare sigma_max/sigma_min of a scalar is always 1)
-    cond = np.inf if sv[-1] == 0.0 else float(max(sv[0], 1.0) / sv[-1])
-    if cond < COND_LIMIT:
-        f, _ = svd_solve(w, ext.a21, name="I - A22 S")
-        return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ f), cond)
+    w = SvdFactor(np.eye(ext.n2, dtype=complex) - ext.a22 @ sm,
+                  "I - A22 S", unit_anchor=True)
+    if not w.singular:
+        return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ w.solve(ext.a21)),
+                                  w.cond)
     # rank-revealing split of the singular loop equation
+    u, sv, vh = w.u, w.sv, w.vh
     scale = sv[0] if len(sv) and sv[0] > 0.0 else 1.0
-    rank = int(np.sum(sv > scale * max(w.shape) * np.finfo(float).eps * 10))
+    rank = int(np.sum(sv > scale * ext.n2 * np.finfo(float).eps * 10))
     u_r, sv_r, vh_r = u[:, :rank], sv[:rank], vh[:rank]
     # solvable for every x iff range(A21) lies in range(W)
     residual = ext.a21 - u_r @ (u_r.conj().T @ ext.a21)
     if op_norm(residual) > 1e-10 * (1.0 + op_norm(ext.a21)):
-        return InternalLoopResult(None, cond)
+        return InternalLoopResult(None, w.cond)
     # unique effect iff A12 S annihilates the kernel ambiguity of f
     kernel = vh[rank:].conj().T
     if kernel.size and op_norm(ext.a12 @ (sm @ kernel)) > \
             1e-10 * (1.0 + op_norm(ext.a12 @ sm)):
-        return InternalLoopResult(None, cond)
+        return InternalLoopResult(None, w.cond)
     if rank:
         f = vh_r.conj().T @ ((u_r.conj().T @ ext.a21) / sv_r[:, None])
     else:
         f = np.zeros((ext.n2, ext.n1), dtype=complex)
-    return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ f), cond)
+    return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ f), w.cond)
 
 
 def check_admissible(node, k):
     """Close the static output feedback u = K y + v around a node.
 
-    K is admissible iff I - K D is invertible (condition number below
-    1e12); the closed loop then has blocks
+    K is admissible iff I - K D is invertible (unit-anchored condition
+    number below 1e12); the closed loop then has blocks
 
         A^f = A + B K (I - D K)^{-1} C,   B^f = B (I - K D)^{-1},
         C^f = (I - D K)^{-1} C,           D^f = (I - D K)^{-1} D.
 
-    Inadmissibility is reported in the result, never raised.
+    Only I - K D is factored; with X = (I - K D)^{-1} K C the push-through
+    identity gives A^f = A + B X, C^f = C + D X and D^f = D (I - K D)^{-1},
+    so a badly conditioned I - D K (large D with K D = 0) is never solved
+    against.  Inadmissibility is reported in the result, never raised.
     """
     if not isinstance(node, SystemNode):
         raise TypeError("check_admissible expects a SystemNode")
@@ -128,25 +131,16 @@ def check_admissible(node, k):
     if km.shape != (node.ninputs, node.noutputs):
         raise ValueError("K must be %s, got %s"
                          % ((node.ninputs, node.noutputs), km.shape))
-    ident_m = np.eye(node.ninputs, dtype=complex)
-    ident_p = np.eye(node.noutputs, dtype=complex)
-    kd = ident_m - km @ node.d
-    sv = np.linalg.svd(kd, compute_uv=False)
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
-    if len(sv) == 0 or sv[-1] == 0.0:
-        cond = np.inf
-    else:
-        cond = float(max(sv[0], 1.0) / sv[-1])
-    if not cond < COND_LIMIT:
-        return FeedbackResult(False, None, cond)
-    dk = ident_p - node.d @ km
-    cf, _ = svd_solve(dk, node.c, name="I - D K")
-    df, _ = svd_solve(dk, node.d, name="I - D K")
-    bf, _ = svd_solve(kd.T, node.b.T, name="I - K D")
-    bf = bf.T
-    af = node.a + node.b @ (km @ cf)
-    return FeedbackResult(True, SystemNode(af, bf, cf, df), cond)
+    kd = SvdFactor(np.eye(node.ninputs, dtype=complex) - km @ node.d,
+                   "I - K D", unit_anchor=True)
+    if kd.singular:
+        return FeedbackResult(False, None, kd.cond)
+    x = kd.solve(km @ node.c)
+    closed = SystemNode(node.a + node.b @ x, kd.rsolve(node.b),
+                        node.c + node.d @ x, kd.rsolve(node.d))
+    return FeedbackResult(True, closed, kd.cond)
 
 
 def a_s_via_feedback(ext, s):
@@ -167,4 +161,4 @@ def a_s_via_feedback(ext, s):
     result = check_admissible(node, k)
     if not result.admissible:
         raise InadmissibleFeedbackError(result.m_condition)
-    return main_operator(result.closed_loop)
+    return result.closed_loop.a

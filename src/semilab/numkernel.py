@@ -3,13 +3,16 @@
 Every operator in this package is carried by a dense complex matrix
 (numpy ndarray, complex128).  This module provides the shared plumbing:
 Hermitian parts, dissipativity margins (plain and Gram-weighted), operator
-norms, a matrix exponential, contraction certificates, and the
-adjoint-composition sanity check.
+norms, a matrix exponential, contraction certificates, and SVD solves.
 
-All linear solves in this package go through ``svd_solve``, a
-rank-revealing SVD solve that reports the condition number of the
-coefficient matrix; silent ill-conditioning would otherwise corrupt the
-theorem checks built on top.
+One singularity rule serves the whole package: a matrix is singular to
+working precision when the condition number of its ``SvdFactor`` is not
+below COND_LIMIT, the ratio anchored at unit scale for the loop factors
+I - A22 S and I - K D.  The Cayley transforms, the external Cayley node
+and the feedback constructions factor each matrix once through
+``SvdFactor``; ``svd_solve`` is the one-shot form.  The matrix
+exponential, ``Gram`` and the weighted margin solve against Pade
+denominators and Cholesky factors with numpy directly.
 """
 
 import math
@@ -26,7 +29,7 @@ __all__ = [
     "op_norm",
     "expm",
     "contraction_certificate",
-    "adjoint_compose_check",
+    "SvdFactor",
     "svd_solve",
 ]
 
@@ -67,34 +70,66 @@ def op_norm(a):
     return float(np.linalg.norm(m, 2))
 
 
-def svd_solve(a, b, name="matrix"):
-    """Solve ``a @ x = b`` by SVD and report the condition number.
+def _condition_number(sv, unit_anchor=False):
+    """Condition number from descending singular values; inf when singular.
 
-    Returns ``(x, cond)``.  Raises ValueError when ``a`` is singular to
-    working precision (condition number beyond COND_LIMIT); callers that
-    treat singularity as a legitimate outcome should test the condition
-    number first or catch the error.
+    The plain ratio is sigma_max / sigma_min.  The unit-anchored ratio
+    max(sigma_max, 1) / sigma_min measures a factor I - X against the
+    unit scale of I, so a uniformly tiny factor counts as ill conditioned
+    (the plain ratio of a nonzero scalar is always 1).
     """
-    m = _square(a, name)
+    if len(sv) == 0 or sv[-1] == 0.0:
+        return np.inf
+    top = max(sv[0], 1.0) if unit_anchor else sv[0]
+    return float(top / sv[-1])
+
+
+class SvdFactor(object):
+    """SVD ``a = u @ diag(sv) @ vh`` of a square matrix, factored once.
+
+    ``cond`` is the plain or (with ``unit_anchor``) the unit-anchored
+    condition number, and ``singular`` is true when it is not below
+    COND_LIMIT.  ``solve`` and ``rsolve`` raise ValueError naming the
+    matrix when it is singular.
+    """
+
+    def __init__(self, a, name="matrix", unit_anchor=False):
+        self.name = name
+        self.u, self.sv, self.vh = np.linalg.svd(_square(a, name))
+        self.cond = _condition_number(self.sv, unit_anchor)
+        self.singular = not self.cond < COND_LIMIT
+
+    def _require_regular(self):
+        if self.singular:
+            raise ValueError("%s is singular to working precision (cond=%g)"
+                             % (self.name, self.cond))
+
+    def solve(self, b):
+        """The matrix x with ``a @ x = b``."""
+        self._require_regular()
+        return self.vh.conj().T @ ((self.u.conj().T @ b) / self.sv[:, None])
+
+    def rsolve(self, b):
+        """The matrix x with ``x @ a = b``."""
+        self._require_regular()
+        return ((b @ self.vh.conj().T) / self.sv) @ self.u.conj().T
+
+
+def svd_solve(a, b, name="matrix"):
+    """Solve ``a @ x = b`` once by SVD and report the plain condition number.
+
+    Returns ``(x, cond)`` with cond = sigma_max / sigma_min.  Raises
+    ValueError when ``a`` is singular to working precision (condition
+    number not below COND_LIMIT); callers that solve more than once
+    against the same matrix, or that treat singularity as a legitimate
+    outcome, use ``SvdFactor`` instead.
+    """
+    factor = SvdFactor(a, name)
     rhs = as_complex_matrix(b, "right-hand side")
-    if rhs.shape[0] != m.shape[0]:
+    if rhs.shape[0] != factor.sv.shape[0]:
         raise ValueError("right-hand side has %d rows, expected %d"
-                         % (rhs.shape[0], m.shape[0]))
-    u, s, vh = np.linalg.svd(m)
-    cond = _cond_from_singular_values(s)
-    if not cond < COND_LIMIT:
-        raise ValueError("%s is singular to working precision (cond=%g)"
-                         % (name, cond))
-    x = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
-    return x, cond
-
-
-def _cond_from_singular_values(s):
-    if len(s) == 0 or s[0] == 0.0:
-        return np.inf
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+                         % (rhs.shape[0], factor.sv.shape[0]))
+    return factor.solve(rhs), factor.cond
 
 
 class Gram(object):
@@ -256,15 +291,3 @@ def contraction_certificate(a, gram=None, times=(0.1, 1.0, 10.0), tol=1e-10):
     norms = tuple(norms)
     passed = all(v <= 1.0 + tol for v in norms)
     return ContractionReport(times, norms, tol, passed)
-
-
-def adjoint_compose_check(q, r):
-    """Check the finite-dimensional adjoint identity (QR)* = R* Q*."""
-    qm = as_complex_matrix(q, "Q")
-    rm = as_complex_matrix(r, "R")
-    if qm.shape[1] != rm.shape[0]:
-        raise ValueError("inner dimensions do not match: %s @ %s"
-                         % (qm.shape, rm.shape))
-    lhs = (qm @ rm).conj().T
-    rhs = rm.conj().T @ qm.conj().T
-    return op_norm(lhs - rhs) <= 1e-12 * (op_norm(qm) * op_norm(rm) + 1.0)

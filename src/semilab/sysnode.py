@@ -13,15 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import (COND_LIMIT, as_complex_matrix, dissipativity_margin,
-                        op_norm, svd_solve)
+from .numkernel import SvdFactor, as_complex_matrix, dissipativity_margin, op_norm
 
 __all__ = [
     "ExtendedOperator",
     "SystemNode",
     "external_cayley",
     "passivity_check",
-    "main_operator",
     "node_apply",
 ]
 
@@ -55,16 +53,6 @@ class ExtendedOperator(object):
     def matrix(self):
         """The assembled (n1+n2)-square matrix."""
         return np.block([[self.a11, self.a12], [self.a21, self.a22]])
-
-    @property
-    def a1(self):
-        """Top block row [A11 A12]."""
-        return np.hstack([self.a11, self.a12])
-
-    @property
-    def a2(self):
-        """Bottom block row [A21 A22]."""
-        return np.hstack([self.a21, self.a22])
 
     @cached_property
     def margin(self):
@@ -145,20 +133,16 @@ def external_cayley(ext):
         # A22 = 0 reduction: W = I exactly
         a = ext.a11 + ext.a12 @ ext.a21
         return SystemNode(a, _SQRT2 * ext.a12, _SQRT2 * ext.a21, ident)
-    w = ident - ext.a22
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
+    w = SvdFactor(ident - ext.a22, "I - A22")
+    if w.singular:
         raise ValueError("I - A22 is singular to working precision; "
                          "the extended operator is not maximal dissipative "
                          "in the required sense")
-    winv_a21, _ = svd_solve(w, ext.a21, name="I - A22")
-    a12_winv, _ = svd_solve(w.T, ext.a12.T, name="I - A22")
-    a12_winv = a12_winv.T
+    a12_winv = w.rsolve(ext.a12)
     a = ext.a11 + a12_winv @ ext.a21
     b = _SQRT2 * a12_winv
-    c = _SQRT2 * winv_a21
-    d, _ = svd_solve(w.T, (ident + ext.a22).T, name="I - A22")
-    d = d.T
+    c = _SQRT2 * w.solve(ext.a21)
+    d = w.rsolve(ident + ext.a22)
     return SystemNode(a, b, c, d)
 
 
@@ -183,11 +167,6 @@ def passivity_check(node, tol=1e-9):
     block = (block + block.conj().T) / 2.0
     lam = float(np.linalg.eigvalsh(block).max())
     return lam
-
-
-def main_operator(node):
-    """The A block of a node (its action on states with zero input)."""
-    return node.a.copy()
 
 
 def node_apply(node, x, u):

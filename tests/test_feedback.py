@@ -11,7 +11,7 @@ from semilab.feedback import (
     internal_loop,
 )
 from semilab.numkernel import contraction_certificate, op_norm
-from semilab.sysnode import ExtendedOperator, external_cayley
+from semilab.sysnode import ExtendedOperator, SystemNode, external_cayley
 
 from conftest import (
     random_accretive,
@@ -85,16 +85,32 @@ class TestCheckAdmissible:
         assert result.admissible
         assert result.m_condition < 1e12
 
-    def test_closed_loop_formulas(self, rng):
-        node = external_cayley(random_dissipative_ext(rng, 3, 2))
-        k = random_contraction(rng, 2, margin=0.2)
-        closed = check_admissible(node, k).closed_loop
-        dk = np.linalg.inv(np.eye(2) - node.d @ k)
-        kd = np.linalg.inv(np.eye(2) - k @ node.d)
+    @staticmethod
+    def assert_closed_loop_formulas(node, k, closed):
+        dk = np.linalg.inv(np.eye(node.noutputs) - node.d @ k)
+        kd = np.linalg.inv(np.eye(node.ninputs) - k @ node.d)
         assert np.allclose(closed.a, node.a + node.b @ k @ dk @ node.c)
         assert np.allclose(closed.b, node.b @ kd)
         assert np.allclose(closed.c, dk @ node.c)
         assert np.allclose(closed.d, dk @ node.d)
+
+    def test_closed_loop_formulas(self, rng):
+        node = external_cayley(random_dissipative_ext(rng, 3, 2))
+        k = random_contraction(rng, 2, margin=0.2)
+        self.assert_closed_loop_formulas(
+            node, k, check_admissible(node, k).closed_loop)
+
+    def test_large_feedthrough_with_kd_zero(self):
+        # K D = 0, so I - K D = I is perfectly conditioned, while
+        # I - D K = [[1, -1e7], [0, 1]] has cond 1e14 yet is exactly
+        # invertible: the closed loop exists and must be returned
+        node = SystemNode(np.zeros((1, 1)), np.ones((1, 1)),
+                          np.ones((2, 1)), np.array([[1e7], [0.0]]))
+        k = np.array([[0.0, 1.0]])
+        result = check_admissible(node, k)
+        assert result.admissible
+        assert result.m_condition == pytest.approx(1.0)
+        self.assert_closed_loop_formulas(node, k, result.closed_loop)
 
     def test_inadmissible_unit_pair(self):
         # d = 1, k = 1: I - KD = 0 exactly

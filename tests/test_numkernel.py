@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilab.feedback import check_admissible, internal_loop
 from semilab.numkernel import (
     ContractionReport,
     Gram,
-    adjoint_compose_check,
+    SvdFactor,
     as_complex_matrix,
     contraction_certificate,
     dissipativity_margin,
@@ -16,8 +17,14 @@ from semilab.numkernel import (
     op_norm,
     svd_solve,
 )
+from semilab.sysnode import external_cayley
 
-from conftest import random_dissipative, random_matrix
+from conftest import (
+    random_contraction,
+    random_dissipative,
+    random_dissipative_ext,
+    random_matrix,
+)
 
 
 class TestBasics:
@@ -49,6 +56,57 @@ class TestBasics:
         x, cond = svd_solve(a, b, "a")
         assert np.allclose(a @ x, b, atol=1e-12)
         assert cond >= 1.0
+
+
+class TestSvdFactor:
+    def test_solves_match_numpy(self, rng):
+        a = random_matrix(rng, 6) + 2 * np.eye(6)
+        b = random_matrix(rng, 6)[:, :4]
+        factor = SvdFactor(a, "a")
+        assert not factor.singular
+        assert np.allclose(factor.solve(b), np.linalg.solve(a, b), atol=1e-12)
+        assert np.allclose(factor.rsolve(b.T),
+                           np.linalg.solve(a.T, b).T, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["solve", "rsolve"])
+    def test_singular_solve_names_matrix(self, method):
+        factor = SvdFactor(np.zeros((2, 2)), "I - Q")
+        assert factor.singular and factor.cond == np.inf
+        with pytest.raises(ValueError, match="I - Q is singular"):
+            getattr(factor, method)(np.eye(2))
+
+    def test_unit_anchor_flags_uniformly_tiny_factor(self):
+        tiny = 1e-13 * np.eye(1)
+        assert SvdFactor(tiny).cond == pytest.approx(1.0)
+        assert not SvdFactor(tiny).singular
+        anchored = SvdFactor(tiny, unit_anchor=True)
+        assert anchored.cond == pytest.approx(1e13)
+        assert anchored.singular
+
+    def test_empty_matrix_is_singular(self):
+        assert SvdFactor(np.zeros((0, 0))).cond == np.inf
+        assert SvdFactor(np.zeros((0, 0)), unit_anchor=True).singular
+
+    def test_one_svd_per_construction(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        ext = random_dissipative_ext(rng, 3, 2)
+        assert ext.a22.any()
+        node = external_cayley(ext)
+        k = random_contraction(rng, 2, margin=0.2)
+        s = np.eye(2) + random_matrix(rng, 2) / 4
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for construct in (lambda: external_cayley(ext),
+                          lambda: check_admissible(node, k),
+                          lambda: internal_loop(ext, s)):
+            del calls[:]
+            construct()
+            assert len(calls) == 1
 
 
 class TestGram:
@@ -170,21 +228,3 @@ class TestContractionCertificate:
         a = np.linalg.inv(h) @ random_dissipative(rng, 3, gap=0.2)
         assert dissipativity_margin(a, g) <= 0
         assert contraction_certificate(a, gram=g).passed
-
-
-class TestAdjointComposeCheck:
-    def test_identity_pair(self):
-        assert adjoint_compose_check(np.eye(3), np.eye(3))
-
-    def test_rectangular_full_rank(self, rng):
-        q = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        r = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        assert adjoint_compose_check(q, r)
-
-    def test_permutation_fixture(self):
-        assert adjoint_compose_check(np.array([[1.0, 0.0]]),
-                                     np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            adjoint_compose_check(np.eye(2), np.eye(3))

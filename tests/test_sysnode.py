@@ -6,7 +6,6 @@ from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
     external_cayley,
-    main_operator,
     node_apply,
     passivity_check,
 )
@@ -53,13 +52,6 @@ class TestSystemNode:
         with pytest.raises(ValueError):
             SystemNode(np.zeros((2, 2)), np.zeros((3, 1)),
                        np.zeros((1, 2)), np.zeros((1, 1)))
-
-    def test_main_operator_copies(self):
-        node = SystemNode(np.eye(2), np.zeros((2, 1)),
-                          np.zeros((1, 2)), np.zeros((1, 1)))
-        a = main_operator(node)
-        a[0, 0] = 5.0
-        assert node.a[0, 0] == 1.0
 
     def test_node_apply(self, rng):
         node = external_cayley(random_dissipative_ext(rng, 3, 2))
