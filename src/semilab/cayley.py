@@ -28,15 +28,15 @@ class AccretiveOperator(object):
     """Square matrix S with Re <Sf, f> >= delta ||f||^2 for some delta >= 0.
 
     delta is computed at construction as the smallest eigenvalue of the
-    Hermitian part (clamped at zero within roundoff), not user-supplied,
-    so the cached bound cannot disagree with the matrix.
+    Hermitian part (clamped at zero within a roundoff tolerance whose
+    2-norm is computed only for a negative eigenvalue), not
+    user-supplied, so the cached bound cannot disagree with the matrix.
     """
 
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
         lam = float(np.linalg.eigvalsh(herm_part(m)).min())
-        tol = 1e-12 * (1.0 + op_norm(m))
-        if lam < -tol:
+        if lam < 0.0 and lam < -1e-12 * (1.0 + op_norm(m)):
             raise ValueError(
                 "matrix is not accretive: min Hermitian eigenvalue %g" % lam)
         self.matrix = m

@@ -610,6 +610,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
     out_dir = args.out if args.out is not None else config.out
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",

@@ -6,13 +6,13 @@ Hermitian parts, dissipativity margins (plain and Gram-weighted), operator
 norms, a matrix exponential, contraction certificates, and SVD solves.
 
 One singularity rule serves the whole package: a matrix is singular to
-working precision when the condition number of its ``SvdFactor`` is not
-below COND_LIMIT, the ratio anchored at unit scale for the loop factors
-I - A22 S and I - K D.  The Cayley transforms, the external Cayley node
-and the feedback constructions factor each matrix once through
-``SvdFactor``; ``svd_solve`` is the one-shot form.  The matrix
-exponential, ``Gram`` and the weighted margin solve against Pade
-denominators and Cholesky factors with numpy directly.
+working precision when the condition number from its singular values is
+not below COND_LIMIT, anchored at unit scale for the loop factors
+I - A22 S and I - K D.  The Cayley and feedback constructions factor
+each matrix once through ``SvdFactor``, which keeps the singular
+vectors; the one-shot ``svd_solve`` reads the singular values only and
+solves by LU.  ``expm``, ``Gram`` and the weighted margin solve against
+Pade denominators and Cholesky factors with numpy directly.
 """
 
 import math
@@ -84,6 +84,12 @@ def _condition_number(sv, unit_anchor=False):
     return float(top / sv[-1])
 
 
+def _require_regular(name, cond):
+    if not cond < COND_LIMIT:
+        raise ValueError("%s is singular to working precision (cond=%g)"
+                         % (name, cond))
+
+
 class SvdFactor(object):
     """SVD ``a = u @ diag(sv) @ vh`` of a square matrix, factored once.
 
@@ -99,37 +105,34 @@ class SvdFactor(object):
         self.cond = _condition_number(self.sv, unit_anchor)
         self.singular = not self.cond < COND_LIMIT
 
-    def _require_regular(self):
-        if self.singular:
-            raise ValueError("%s is singular to working precision (cond=%g)"
-                             % (self.name, self.cond))
-
     def solve(self, b):
         """The matrix x with ``a @ x = b``."""
-        self._require_regular()
+        _require_regular(self.name, self.cond)
         return self.vh.conj().T @ ((self.u.conj().T @ b) / self.sv[:, None])
 
     def rsolve(self, b):
         """The matrix x with ``x @ a = b``."""
-        self._require_regular()
+        _require_regular(self.name, self.cond)
         return ((b @ self.vh.conj().T) / self.sv) @ self.u.conj().T
 
 
 def svd_solve(a, b, name="matrix"):
-    """Solve ``a @ x = b`` once by SVD and report the plain condition number.
+    """Solve ``a @ x = b`` once: LU for x, singular values for the cond.
 
-    Returns ``(x, cond)`` with cond = sigma_max / sigma_min.  Raises
-    ValueError when ``a`` is singular to working precision (condition
-    number not below COND_LIMIT); callers that solve more than once
+    Returns ``(x, cond)`` with the plain cond = sigma_max / sigma_min and
+    raises ValueError by the same rule as ``SvdFactor`` when ``a`` is
+    singular to working precision; callers that solve more than once
     against the same matrix, or that treat singularity as a legitimate
     outcome, use ``SvdFactor`` instead.
     """
-    factor = SvdFactor(a, name)
+    m = _square(a, name)
     rhs = as_complex_matrix(b, "right-hand side")
-    if rhs.shape[0] != factor.sv.shape[0]:
+    if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side has %d rows, expected %d"
-                         % (rhs.shape[0], factor.sv.shape[0]))
-    return factor.solve(rhs), factor.cond
+                         % (rhs.shape[0], m.shape[0]))
+    cond = _condition_number(np.linalg.svd(m, compute_uv=False))
+    _require_regular(name, cond)
+    return np.linalg.solve(m, rhs), cond
 
 
 class Gram(object):
@@ -137,13 +140,14 @@ class Gram(object):
 
     The matrix is validated (Hermitian within 1e-12 relative, positive
     definite) and its Cholesky factor is cached for the weighted margin
-    and weighted norm computations.
+    and weighted norm computations.  The two 2-norms of the Hermitian
+    test are computed only when m - m* is not exactly zero.
     """
 
     def __init__(self, matrix):
         m = _square(matrix, "gram matrix")
-        scale = op_norm(m)
-        if op_norm(m - m.conj().T) > 1e-12 * max(scale, 1.0):
+        skew = m - m.conj().T
+        if skew.any() and op_norm(skew) > 1e-12 * max(op_norm(m), 1.0):
             raise ValueError("gram matrix is not Hermitian")
         m = (m + m.conj().T) / 2.0
         try:

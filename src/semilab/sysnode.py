@@ -32,6 +32,7 @@ class ExtendedOperator(object):
     The dissipativity margin of the assembled matrix and the skew defect
     are computed lazily; the boolean flags ``dissipative`` and ``skew``
     report the verified properties rather than caller-supplied claims.
+    The skew test skips its two 2-norms when A + A* is exactly zero.
     """
 
     def __init__(self, a11, a12, a21, a22):
@@ -65,7 +66,8 @@ class ExtendedOperator(object):
     @cached_property
     def skew(self):
         full = self.matrix
-        return op_norm(full + full.conj().T) <= 1e-10 * (1.0 + op_norm(full))
+        defect = full + full.conj().T
+        return not defect.any() or op_norm(defect) <= 1e-10 * (1.0 + op_norm(full))
 
     def apply(self, x, e):
         """Apply the assembled operator to (x, e), returning (z, f)."""

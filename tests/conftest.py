@@ -4,6 +4,8 @@ All randomness flows through explicit numpy generators with fixed seeds so
 every run sees the same matrices.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,22 @@ def random_contraction(rng, n, margin=0.05):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Keyword arguments of every dense SVD made while the test runs.
+
+    Counts direct ``np.linalg.svd`` calls and the SVDs that
+    ``np.linalg.norm(., 2)`` runs through numpy's own module global.
+    """
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counted)
+    return calls

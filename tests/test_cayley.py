@@ -23,8 +23,16 @@ class TestWrappers:
         assert s.delta == pytest.approx(1.0)
 
     def test_accretive_rejects_negative_part(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix is not accretive"):
             AccretiveOperator(np.array([[-1.0]]))
+
+    def test_accretive_accepts_roundoff_negative_part(self):
+        assert AccretiveOperator(np.array([[-1e-13]])).delta == 0.0
+
+    def test_accretive_matrix_needs_no_norm(self, rng, svd_calls):
+        AccretiveOperator(random_accretive(rng, 6))
+        AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert svd_calls == []
 
     def test_skew_is_accretive_with_zero_delta(self):
         s = AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -300,6 +300,25 @@ class TestMain:
     def test_no_command_exits_two(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("command, runner, exc", [
+        ("simulate", "run_simulate", MemoryError("cannot allocate")),
+        ("verify", "run_verify", OverflowError("matrix exponential overflowed")),
+    ])
+    def test_crash_exits_three_with_one_line(self, tmp_path, capsys,
+                                             monkeypatch, command, runner, exc):
+        def crash(config):
+            raise exc
+
+        monkeypatch.setattr(semilab.cli, runner, crash)
+        text = (VERIFY_TEXT if command == "verify"
+                else "experiment = viscous\nn = 8\n")
+        cfg = self.write_config(tmp_path, text)
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: %s: %s\n" % (type(exc).__name__, exc)
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_console_script(self, tmp_path):
         # the module entry point the console script wraps, run as a fresh
         # process that imports the same semilab package as this suite

@@ -47,7 +47,7 @@ class TestBasics:
         assert op_norm(m) == pytest.approx(np.linalg.norm(m, 2))
 
     def test_svd_solve_rejects_singular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"w is singular .*cond=inf"):
             svd_solve(np.zeros((2, 2)), np.eye(2), "w")
 
     def test_svd_solve_matches_direct(self, rng):
@@ -56,6 +56,19 @@ class TestBasics:
         x, cond = svd_solve(a, b, "a")
         assert np.allclose(a @ x, b, atol=1e-12)
         assert cond >= 1.0
+
+    @pytest.mark.parametrize("n", [1, 8, 127, 255])
+    def test_svd_solve_agrees_with_svd_factor_oracle(self, rng, n):
+        # the Crank-Nicolson pair I -+ (dt/2) A of a random dissipative A
+        a = random_dissipative(rng, n)
+        ident = np.eye(n)
+        for dt in (1e-3, 0.1, 10.0, 1e3):
+            lhs, rhs = ident - (dt / 2) * a, ident + (dt / 2) * a
+            x, cond = svd_solve(lhs, rhs, "I - (dt/2) A")
+            oracle = SvdFactor(lhs)
+            ref = oracle.solve(rhs)
+            assert op_norm(x - ref) <= 1e-12 * op_norm(ref)
+            assert cond == pytest.approx(oracle.cond, rel=1e-12)
 
 
 class TestSvdFactor:
@@ -87,26 +100,18 @@ class TestSvdFactor:
         assert SvdFactor(np.zeros((0, 0))).cond == np.inf
         assert SvdFactor(np.zeros((0, 0)), unit_anchor=True).singular
 
-    def test_one_svd_per_construction(self, rng, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
+    def test_one_svd_per_construction(self, rng, svd_calls):
         ext = random_dissipative_ext(rng, 3, 2)
         assert ext.a22.any()
         node = external_cayley(ext)
         k = random_contraction(rng, 2, margin=0.2)
         s = np.eye(2) + random_matrix(rng, 2) / 4
-        monkeypatch.setattr(np.linalg, "svd", counted)
         for construct in (lambda: external_cayley(ext),
                           lambda: check_admissible(node, k),
                           lambda: internal_loop(ext, s)):
-            del calls[:]
+            del svd_calls[:]
             construct()
-            assert len(calls) == 1
+            assert len(svd_calls) == 1
 
 
 class TestGram:
@@ -115,8 +120,17 @@ class TestGram:
             Gram(np.diag([1.0, -1.0]))
 
     def test_rejects_nonhermitian(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gram matrix is not Hermitian"):
             Gram(random_matrix(rng, 4) + 3 * np.eye(4))
+
+    def test_accepts_roundoff_skew(self):
+        h = np.array([[2.0, 1.0 + 1e-15], [1.0, 2.0]])
+        assert np.allclose(Gram(h).matrix, [[2.0, 1.0], [1.0, 2.0]])
+
+    def test_hermitian_matrix_needs_no_norm(self, rng, svd_calls):
+        Gram(herm_part(random_matrix(rng, 6)) + 3 * np.eye(6))
+        Gram(np.diag([1.0, 4.0, 0.25]))
+        assert svd_calls == []
 
     def test_weighted_norm_identity_gram(self, rng):
         g = Gram(np.eye(7))

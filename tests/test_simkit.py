@@ -57,6 +57,10 @@ class TestCnStep:
         with pytest.raises(ValueError):
             cn_step(np.zeros((2, 2)), 0.0)
 
+    def test_one_singular_value_svd(self, rng, svd_calls):
+        cn_step(random_dissipative(rng, 6), 0.5)
+        assert svd_calls == [{"compute_uv": False}]
+
 
 class TestTrajectoryContainer:
     def test_length_mismatch(self):

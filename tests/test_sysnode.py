@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semilab.numkernel import dissipativity_margin, op_norm
+from semilab.pdelab import Grid1D, wave_ext
 from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
@@ -10,7 +10,7 @@ from semilab.sysnode import (
     passivity_check,
 )
 
-from conftest import random_dissipative_ext, random_matrix
+from conftest import random_dissipative_ext
 
 
 def wave_toy():
@@ -33,6 +33,18 @@ class TestExtendedOperator:
         assert wave_toy().skew
         assert not ExtendedOperator(np.array([[-1.0]]), np.zeros((1, 1)),
                                     np.zeros((1, 1)), np.zeros((1, 1))).skew
+
+    def test_skew_flag_within_roundoff(self):
+        near = ExtendedOperator(np.zeros((1, 1)), np.array([[1.0 + 1e-14]]),
+                                np.array([[-1.0]]), np.zeros((1, 1)))
+        assert near.skew
+        off = ExtendedOperator(np.zeros((1, 1)), np.array([[1.0 + 1e-6]]),
+                               np.array([[-1.0]]), np.zeros((1, 1)))
+        assert not off.skew
+
+    def test_exactly_skew_needs_no_norm(self, svd_calls):
+        assert wave_ext(Grid1D(8)).skew
+        assert svd_calls == []
 
     def test_dissipative_flag(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
