@@ -7,7 +7,9 @@ comes from one numpy PCG64 generator whose identity and seed are echoed
 in the report body, checks are emitted sorted by name, and floats use
 round-trip repr formatting.  Wall time goes to stderr only so report
 bodies stay byte-identical across runs.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage or configuration error.
+1 a check failed, 2 usage or configuration error, or an output file
+that cannot be written (one stderr line naming the path), 3 an
+unexpected error (one stderr line, no traceback).
 """
 
 import argparse
@@ -493,11 +495,9 @@ def run_simulate(config):
         worst = max(0.0, float(increases.max())) / energy[0]
         checks.append(_check("energy_monotone", worst, 1e-10))
     bound = energy[0] * (1.0 + ENERGY_BOUND_TOL)
-    lines = ["t,energy,norm_bound_ok"]
-    for t, e in zip(traj.times, energy):
-        lines.append("%s,%s,%d" % (repr(float(t)), repr(float(e)),
-                                   1 if e <= bound else 0))
-    csv_text = "\n".join(lines) + "\n"
+    rows = zip(traj.times.tolist(), energy.tolist(), (energy <= bound).tolist())
+    csv_text = "t,energy,norm_bound_ok\n" + "".join(
+        "%r,%r,%d\n" % row for row in rows)
     report = RunReport("simulate", config, checks,
                        time.perf_counter() - start)
     return report, csv_text
@@ -567,6 +567,24 @@ _ALLOWED_EXPERIMENTS = {
 }
 
 
+def _write_outputs(out_dir, outputs):
+    """Create out_dir and write each (file name, text) pair into it.
+
+    An OSError becomes a ValueError naming the path that failed, so it
+    exits 2 like any other bad setting of the run.
+    """
+    path = out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in outputs:
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s"
+                         % (path, exc.strerror or exc)) from exc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="semilab",
@@ -607,21 +625,17 @@ def main(argv=None):
             report, csv_text = run_simulate(config)
         else:
             report, csv_text = run_ionorm(config)
+        outputs = [("report.txt", report.body())]
+        if csv_text is not None:
+            outputs.append((_CSV_NAMES[args.command], csv_text))
+        _write_outputs(args.out if args.out is not None else config.out,
+                       outputs)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
-    out_dir = args.out if args.out is not None else config.out
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",
-              newline="\n") as handle:
-        handle.write(report.body())
-    if csv_text is not None:
-        csv_path = os.path.join(out_dir, _CSV_NAMES[args.command])
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(csv_text)
     sys.stdout.write(report.body())
     print("wall time: %.3f s" % report.wall_time, file=sys.stderr)
     return 0 if report.passed else 1

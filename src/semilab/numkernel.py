@@ -1,9 +1,12 @@
 """Dense complex linear algebra and semigroup-theoretic primitives.
 
 Every operator in this package is carried by a dense complex matrix
-(numpy ndarray, complex128).  This module provides the shared plumbing:
-Hermitian parts, dissipativity margins (plain and Gram-weighted), operator
-norms, a matrix exponential, contraction certificates, and SVD solves.
+(numpy ndarray, complex128); only the semigroup trajectories of simkit
+drop to float64, when the one-step matrix and the start are real, and
+``Gram.squared_norms`` keeps such rows real.  This module provides the
+shared plumbing: Hermitian parts, dissipativity margins (plain and
+Gram-weighted), operator norms, a matrix exponential, contraction
+certificates, and SVD solves.
 
 One singularity rule serves the whole package: a matrix is singular to
 working precision when the condition number from its singular values is
@@ -175,9 +178,23 @@ class Gram(object):
         right = np.linalg.solve(l.conj(), (l.conj().T @ m).T).T
         return op_norm(right)
 
+    def squared_norms(self, rows):
+        """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
+
+        One ``rows @ H.T`` product serves all rows; real rows against a
+        real H stay in float64.
+        """
+        x = np.asarray(rows)
+        h = self.matrix
+        if np.isrealobj(x) and not h.imag.any():
+            h = h.real
+        q = np.einsum("ij,ij->i", x.conj(), x @ h.T).real
+        return np.maximum(q, 0.0)
+
     def weighted_vector_norm(self, x):
-        v = np.asarray(x, dtype=complex).reshape(-1)
-        return float(math.sqrt(max((v.conj() @ (self.matrix @ v)).real, 0.0)))
+        """The H-norm of one vector: the one-row case of squared_norms."""
+        v = np.asarray(x, dtype=complex).reshape(1, -1)
+        return float(math.sqrt(self.squared_norms(v)[0]))
 
 
 def dissipativity_margin(a, gram=None):

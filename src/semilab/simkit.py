@@ -37,6 +37,9 @@ __all__ = [
 _GKL_RTOL = 1e-5
 _GKL_CHECK_EVERY = 4
 _GKL_MAX_STEPS = 512
+# trajectory rows per energy-ledger product: the temporaries stay a few
+# MB instead of a second trajectory-sized array
+_LEDGER_BLOCK = 4096
 
 
 def cn_step(a, dt):
@@ -60,14 +63,16 @@ class Trajectory(object):
 
     times has nsamples entries; x_samples, u_samples, y_samples and
     energy share that length (u/y are None for pure semigroup runs).
-    energy holds the squared state norm (weighted when a Gram was
-    supplied).  input_energy and output_energy are cumulative integrals
-    of the squared input/output norms up to each sample instant.  The
-    output integral is exact for the zero-order-hold trajectory (per-step
-    observability Gramian), not a sampled sum: left-endpoint sums can
-    overshoot the true integral by O(dt), which would spoil the passivity
-    ledger x_N energy + output_energy <= x_0 energy + input_energy that
-    holds exactly for passive nodes.
+    x_samples is float64 for semigroup runs of a real one-step matrix
+    from a real start and complex128 otherwise.  energy holds the squared
+    state norm (weighted when a Gram was supplied).  input_energy and
+    output_energy are cumulative integrals of the squared input/output
+    norms up to each sample instant.  The output integral is exact for
+    the zero-order-hold trajectory (per-step observability Gramian), not
+    a sampled sum: left-endpoint sums can overshoot the true integral by
+    O(dt), which would spoil the passivity ledger
+    x_N energy + output_energy <= x_0 energy + input_energy that holds
+    exactly for passive nodes.
     """
 
     def __init__(self, dt, times, x_samples, energy, u_samples=None,
@@ -130,9 +135,12 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     """March x' = Ax and record the (possibly weighted) squared norm.
 
     stepper is "expm" (exact) or "crank_nicolson"; the one-step matrix is
-    built once and reused, so dt must divide T.  For A dissipative in the
-    supplied inner product the energy column is nonincreasing up to
-    roundoff.
+    built once and reused, so dt must divide T.  When the one-step matrix
+    and x0 have zero imaginary part the steps run in float64 and
+    x_samples is real; otherwise they run in complex128.  The energy
+    column is computed after the loop, in blocks of _LEDGER_BLOCK rows.
+    For A dissipative in the supplied inner product it is nonincreasing
+    up to roundoff.
     """
     m = as_complex_matrix(a, "A")
     if x0 is None:
@@ -150,21 +158,23 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
         step = cn_step(m, float(dt))
     else:
         raise ValueError("unknown stepper %r" % (stepper,))
-
-    def energy_of(v):
-        if gram is None:
-            return float(np.real(np.vdot(v, v)))
-        return float(gram.weighted_vector_norm(v) ** 2)
+    if not step.imag.any() and not x.imag.any():
+        step = np.ascontiguousarray(step.real)
+        x = x.real
 
     times = float(dt) * np.arange(nsteps + 1)
-    xs = np.empty((nsteps + 1, x.shape[0]), dtype=complex)
-    energy = np.empty(nsteps + 1)
+    xs = np.empty((nsteps + 1, x.shape[0]), dtype=step.dtype)
     xs[0] = x
-    energy[0] = energy_of(x)
     for k in range(nsteps):
-        x = step @ x
-        xs[k + 1] = x
-        energy[k + 1] = energy_of(x)
+        np.matmul(step, xs[k], out=xs[k + 1])
+    energy = np.empty(nsteps + 1)
+    for start in range(0, nsteps + 1, _LEDGER_BLOCK):
+        stop = start + _LEDGER_BLOCK
+        rows = xs[start:stop]
+        if gram is None:
+            energy[start:stop] = np.einsum("ij,ij->i", rows.conj(), rows).real
+        else:
+            energy[start:stop] = gram.squared_norms(rows)
     return Trajectory(dt, times, xs, energy)
 
 

@@ -14,6 +14,8 @@ from semilab.cli import (
     run_verify,
 )
 from semilab.cli import _profile_values, main
+from semilab.numkernel import Gram
+from semilab.simkit import Trajectory
 
 
 VERIFY_TEXT = """\
@@ -176,6 +178,24 @@ class TestRunSimulate:
         with pytest.raises(ValueError):
             self.simulate("experiment = ionorm\n")
 
+    def test_csv_bytes_match_per_row_format(self, monkeypatch):
+        dt = 0.1
+        times = dt * np.arange(7)
+        energy = np.array([1.0, 1.0 + 1e-6, np.nextafter(1.0 + 1e-6, 2.0),
+                           0.1 + 0.2, 1e-300, 0.0, 2.0 / 3.0])
+        traj = Trajectory(dt, times, np.zeros((7, 2)), energy)
+        monkeypatch.setattr(semilab.cli, "simulate_semigroup",
+                            lambda *args: traj)
+        _, csv_text = self.simulate("experiment = viscous\nn = 4\n")
+        bound = energy[0] * (1.0 + 1e-6)
+        lines = ["t,energy,norm_bound_ok"]
+        for t, e in zip(traj.times, traj.energy):
+            lines.append("%s,%s,%d" % (repr(float(t)), repr(float(e)),
+                                       1 if e <= bound else 0))
+        assert csv_text == "\n".join(lines) + "\n"
+        flags = [line[-1] for line in lines[1:]]
+        assert flags == ["1", "1", "0", "1", "1", "1", "1"]
+
 
 class TestRunIonorm:
     def test_feedthrough_fixture(self):
@@ -296,6 +316,41 @@ class TestMain:
         cfg = self.write_config(tmp_path, "experiment = viscous\nn = 8\n")
         assert main(["verify", cfg]) == 2
         assert "not valid for the verify command" in capsys.readouterr().err
+
+    def test_simulate_ledger_makes_no_per_step_norm_calls(self, tmp_path,
+                                                          monkeypatch):
+        calls = []
+        per_vector = Gram.weighted_vector_norm
+
+        def counted(self, x):
+            calls.append(1)
+            return per_vector(self, x)
+
+        monkeypatch.setattr(Gram, "weighted_vector_norm", counted)
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 8\nT = 1\ndt = 0.01\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, command):
+        if command == "verify":
+            cfg = self.write_config(tmp_path, VERIFY_TEXT)
+            out = tmp_path / "taken"
+            out.write_text("not a directory\n", encoding="utf-8")
+            bad = out
+        else:
+            cfg = self.write_config(
+                tmp_path, "experiment = viscous\nn = 4\nT = 0.1\n")
+            out = tmp_path / "o"
+            bad = out / "simulate.csv"
+            bad.mkdir(parents=True)
+        assert main([command, cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write %s: " % bad)
+        assert "Traceback" not in captured.err
 
     def test_no_command_exits_two(self):
         assert main([]) == 2

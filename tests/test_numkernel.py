@@ -17,6 +17,7 @@ from semilab.numkernel import (
     op_norm,
     svd_solve,
 )
+from semilab.simkit import _LEDGER_BLOCK
 from semilab.sysnode import external_cayley
 
 from conftest import (
@@ -148,6 +149,26 @@ class TestGram:
     def test_weighted_vector_norm(self):
         g = Gram(np.diag([4.0, 1.0]))
         assert g.weighted_vector_norm(np.array([1.0, 0.0])) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("nrows", [1, _LEDGER_BLOCK - 1, _LEDGER_BLOCK,
+                                       _LEDGER_BLOCK + 1])
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_squared_norms_match_per_row_oracle(self, rng, nrows,
+                                                complex_rows):
+        m = random_matrix(rng, 5)
+        h = m @ m.conj().T + 0.5 * np.eye(5)
+        assert np.count_nonzero(h - np.diag(np.diag(h))) and h.imag.any()
+        g = Gram(h)
+        rows = rng.standard_normal((nrows, 5))
+        if complex_rows:
+            rows = rows + 1j * rng.standard_normal((nrows, 5))
+        got = g.squared_norms(rows)
+        assert got.shape == (nrows,) and got.dtype == np.float64
+        by_row = np.array([g.weighted_vector_norm(x) ** 2 for x in rows])
+        # independent of squared_norms: x^* (H x), one vector at a time
+        direct = np.array([(x.conj() @ (g.matrix @ x)).real for x in rows])
+        for oracle in (by_row, direct):
+            assert (np.abs(got - oracle) <= 1e-13 * oracle).all()
 
 
 class TestDissipativityMargin:

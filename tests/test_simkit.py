@@ -109,6 +109,56 @@ class TestSimulateSemigroup:
         assert tr.energy[0] == pytest.approx(expected, rel=1e-12)
         assert (np.diff(tr.energy) <= 1e-12 * tr.energy[0]).all()
 
+    @staticmethod
+    def viscous_fixture(n=8):
+        grid = Grid1D(n)
+        ext, gram, s_v = wave_viscous_ext(grid, PdeCoefficients(grid, k_v=1.0))
+        x0 = np.concatenate([np.sin(np.pi * grid.interior_nodes),
+                             np.sin(2 * np.pi * grid.midpoints)])
+        return internal_loop(ext, s_v).a_s @ gram.matrix, gram, x0
+
+    @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
+    def test_real_runs_step_in_float64(self, rng, stepper):
+        a, gram, x0 = self.viscous_fixture()
+        # the generator is complex128 with zero imaginary part
+        assert a.dtype == np.complex128 and not a.imag.any()
+        complex_a = random_dissipative(rng, a.shape[0])
+        for gen, start, dtype in ((a, x0, np.float64),
+                                  (a, x0 * (1.0 + 1.0j), np.complex128),
+                                  (complex_a, x0, np.complex128)):
+            tr = simulate_semigroup(gen, gram, start, T=0.5, dt=0.1,
+                                    stepper=stepper)
+            assert tr.x_samples.dtype == dtype
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_real_energy_matches_complex_path(self, weighted):
+        # x0 and e^{i pi/4} x0 have the same trajectory energies; the
+        # second start runs the complex128 path
+        a, gram, x0 = self.viscous_fixture()
+        gram = gram if weighted else None
+        real = simulate_semigroup(a, gram, x0, T=2.0, dt=0.05,
+                                  stepper="crank_nicolson")
+        cplx = simulate_semigroup(a, gram, x0 * np.exp(0.25j * np.pi),
+                                  T=2.0, dt=0.05, stepper="crank_nicolson")
+        assert cplx.x_samples.dtype == np.complex128
+        e0 = real.energy[0]
+        assert np.abs(real.energy - cplx.energy).max() <= 1e-13 * e0
+        assert np.allclose(cplx.x_samples * np.exp(-0.25j * np.pi),
+                           real.x_samples, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nsamples", [simkit._LEDGER_BLOCK - 1,
+                                          simkit._LEDGER_BLOCK,
+                                          simkit._LEDGER_BLOCK + 1])
+    def test_ledger_blocks_match_per_step_norms(self, nsamples):
+        a, gram, x0 = self.viscous_fixture(4)
+        dt = 1e-3
+        tr = simulate_semigroup(a, gram, x0, T=(nsamples - 1) * dt, dt=dt,
+                                stepper="crank_nicolson")
+        assert tr.nsamples == nsamples
+        oracle = np.array([gram.weighted_vector_norm(x) ** 2
+                           for x in tr.x_samples])
+        assert (np.abs(tr.energy - oracle) <= 1e-13 * oracle).all()
+
     def test_dt_must_divide(self):
         with pytest.raises(ValueError):
             simulate_semigroup(np.zeros((2, 2)), x0=[1.0, 0.0], T=1.0, dt=0.3)
