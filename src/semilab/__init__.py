@@ -51,7 +51,6 @@ from .simkit import (
     cn_step,
     feedthrough_deviation,
     io_map_norm,
-    simulate_node,
     simulate_semigroup,
 )
 from .sysnode import (
@@ -103,7 +102,6 @@ __all__ = [
     "op_norm",
     "passivity_check",
     "s_norm_bound",
-    "simulate_node",
     "simulate_semigroup",
     "strict_contraction_bound",
     "wave_combined_ext",

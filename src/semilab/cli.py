@@ -13,6 +13,7 @@ unexpected error (one stderr line, no traceback).
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -53,8 +54,15 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = ("verify_random", "wave_heat", "viscous", "structural",
-               "combined", "degenerate", "ionorm")
+# command -> the experiments it runs; simulate and ionorm also write
+# <command>.csv
+_COMMANDS = {
+    "verify": ("verify_random",),
+    "simulate": ("wave_heat", "viscous", "structural", "combined",
+                 "degenerate"),
+    "ionorm": ("ionorm",),
+}
+EXPERIMENTS = tuple(name for names in _COMMANDS.values() for name in names)
 FIXTURES = ("wave_cayley", "viscous_cayley", "feedthrough", "integrator")
 STEPPERS = ("expm", "crank_nicolson")
 
@@ -73,190 +81,23 @@ def _fmt(value):
     return str(value)
 
 
-class ExperimentConfig(object):
-    """Validated flat configuration for one experiment run.
-
-    Defaults: n = 32, dt = 1e-2, T = 1, seed = 0, tol = 1e-9.  The
-    stepper defaults to the exact exponential for the undamped wave and
-    Crank-Nicolson otherwise.  Coefficient profiles are strings
-    `constant:<v>`, `linear:<a>,<b>` (a + b xi) or `power:<e>` (xi^e),
-    sampled per grid point.
-    """
-
-    def __init__(self, experiment=None, n=32, dt=1e-2, T=1.0, seed=0,
-                 tol=1e-9, alpha_exp=0.5, kappa=0.0, delta_floor=0.05,
-                 cases=100, max_dim=8, stepper=None, fixture="wave_cayley",
-                 nsteps=128, negative_control=False, out=".",
-                 rho="constant:1", young="constant:1", k_v="constant:1",
-                 k_s="constant:1", s_fun="constant:1"):
-        if experiment is None:
-            raise ValueError("missing required key 'experiment'")
-        if experiment not in EXPERIMENTS:
-            raise ValueError("experiment must be one of %s, got %r"
-                             % ("|".join(EXPERIMENTS), experiment))
-        _require(2 <= n <= 4096, "n must lie in [2, 4096], got %s" % n)
-        _require(dt > 0.0, "dt must be positive, got %s" % dt)
-        _require(T >= dt, "T must be at least dt, got T = %s, dt = %s"
-                 % (T, dt))
-        _require(seed >= 0, "seed must be nonnegative, got %s" % seed)
-        _require(tol > 0.0, "tol must be positive, got %s" % tol)
-        _require(0.0 < alpha_exp < 1.0,
-                 "alpha_exp must lie in (0, 1), got %s" % alpha_exp)
-        _require(kappa >= 0.0, "kappa must be nonnegative, got %s" % kappa)
-        _require(delta_floor > 0.0,
-                 "delta_floor must be positive, got %s" % delta_floor)
-        _require(1 <= cases <= 100000,
-                 "cases must lie in [1, 100000], got %s" % cases)
-        _require(1 <= max_dim <= 64,
-                 "max_dim must lie in [1, 64], got %s" % max_dim)
-        _require(4 <= nsteps <= 65536,
-                 "nsteps must lie in [4, 65536], got %s" % nsteps)
-        if stepper is None:
-            stepper = "expm" if experiment == "wave_heat" else "crank_nicolson"
-        if stepper not in STEPPERS:
-            raise ValueError("stepper must be one of %s, got %r"
-                             % ("|".join(STEPPERS), stepper))
-        if fixture not in FIXTURES:
-            raise ValueError("fixture must be one of %s, got %r"
-                             % ("|".join(FIXTURES), fixture))
-        for key, profile in (("rho", rho), ("young", young),
-                             ("k_v", k_v), ("k_s", k_s),
-                             ("s_fun", s_fun)):
-            _profile_parts(profile, key)
-        self.experiment = experiment
-        self.n = int(n)
-        self.dt = float(dt)
-        self.T = float(T)
-        self.seed = int(seed)
-        self.tol = float(tol)
-        self.alpha_exp = float(alpha_exp)
-        self.kappa = float(kappa)
-        self.delta_floor = float(delta_floor)
-        self.cases = int(cases)
-        self.max_dim = int(max_dim)
-        self.stepper = stepper
-        self.fixture = fixture
-        self.nsteps = int(nsteps)
-        self.negative_control = bool(negative_control)
-        self.out = out
-        self.rho = rho
-        self.young = young
-        self.k_v = k_v
-        self.k_s = k_s
-        self.s_fun = s_fun
-
-    def as_dict(self):
-        return {key: getattr(self, key) for key in _CONFIG_KEYS}
-
-    def with_seed(self, seed):
-        values = self.as_dict()
-        values["seed"] = int(seed)
-        return ExperimentConfig(**values)
+def _rule(test, phrase):
+    """Range rule: test(value) must hold, else `<key> must <phrase>`."""
+    def check(key, value):
+        if not test(value):
+            raise ValueError("%s must %s, got %r" % (key, phrase, value))
+    return check
 
 
-_CONFIG_KEYS = ("experiment", "n", "dt", "T", "seed", "tol", "alpha_exp",
-                "kappa", "delta_floor", "cases", "max_dim", "stepper",
-                "fixture", "nsteps", "negative_control", "out", "rho",
-                "young", "k_v", "k_s", "s_fun")
-
-# `out` is deliberately not echoed so report bodies do not depend on paths
-_ECHO_KEYS = tuple(sorted(k for k in _CONFIG_KEYS if k != "out"))
+def _closed(low, high):
+    return _rule(lambda v: low <= v <= high, "lie in [%d, %d]" % (low, high))
 
 
-def _require(condition, message):
-    if not condition:
-        raise ValueError(message)
+def _one_of(words):
+    return _rule(lambda v: v in words, "be one of " + "|".join(words))
 
 
-def _int_value(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("%s expects an integer, got %r" % (key, text))
-
-
-def _float_value(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError("%s expects a number, got %r" % (key, text))
-
-
-def _bool_value(key, text):
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError("%s expects true or false, got %r" % (key, text))
-
-
-def _str_value(key, text):
-    return text
-
-
-_KEY_PARSERS = {
-    "experiment": _str_value,
-    "n": _int_value,
-    "dt": _float_value,
-    "T": _float_value,
-    "seed": _int_value,
-    "tol": _float_value,
-    "alpha_exp": _float_value,
-    "kappa": _float_value,
-    "delta_floor": _float_value,
-    "cases": _int_value,
-    "max_dim": _int_value,
-    "stepper": _str_value,
-    "fixture": _str_value,
-    "nsteps": _int_value,
-    "negative_control": _bool_value,
-    "out": _str_value,
-    "rho": _str_value,
-    "young": _str_value,
-    "k_v": _str_value,
-    "k_s": _str_value,
-    "s_fun": _str_value,
-}
-
-
-def parse_config(text):
-    """Parse `key = value` lines (with `#` comments) into an ExperimentConfig.
-
-    Unknown and duplicate keys are rejected with their line number;
-    values are type-checked per key and range-checked on construction.
-    """
-    values = {}
-    lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError("line %d: expected `key = value`, got %r"
-                             % (lineno, line))
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEY_PARSERS:
-            raise ValueError("line %d: unknown key %r" % (lineno, key))
-        if key in values:
-            raise ValueError("line %d: duplicate key %r (first at line %d)"
-                             % (lineno, key, lines[key]))
-        if not value:
-            raise ValueError("line %d: empty value for %r" % (lineno, key))
-        values[key] = value
-        lines[key] = lineno
-    parsed = {}
-    for key, value in values.items():
-        try:
-            parsed[key] = _KEY_PARSERS[key](key, value)
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (lines[key], exc))
-    return ExperimentConfig(**parsed)
-
-
-def _profile_parts(profile, key):
+def _profile_parts(key, profile):
     """Split a coefficient profile string into (kind, numeric args)."""
     if not isinstance(profile, str):
         raise ValueError("%s expects a profile string" % key)
@@ -277,8 +118,138 @@ def _profile_parts(profile, key):
                      "linear:<a>,<b> or power:<e>)" % (key, profile))
 
 
+_POSITIVE = _rule(lambda v: v > 0.0, "be positive")
+_NONNEGATIVE = _rule(lambda v: v >= 0, "be nonnegative")
+
+# One row per config key: (key, type, default, range rule), checked in
+# this order.  Two rules are code in ExperimentConfig: the stepper
+# default depends on the experiment, and T >= dt spans two keys.
+_KEYS = (
+    ("experiment", str, None, _one_of(EXPERIMENTS)),
+    ("n", int, 32, _closed(2, 4096)),
+    ("dt", float, 1e-2, _POSITIVE),
+    ("T", float, 1.0, None),
+    ("seed", int, 0, _NONNEGATIVE),
+    ("tol", float, 1e-9, _POSITIVE),
+    ("alpha_exp", float, 0.5, _rule(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    ("kappa", float, 0.0, _NONNEGATIVE),
+    ("delta_floor", float, 0.05, _POSITIVE),
+    ("cases", int, 100, _closed(1, 100000)),
+    ("max_dim", int, 8, _closed(1, 64)),
+    ("nsteps", int, 128, _closed(4, 65536)),
+    ("stepper", str, None, _one_of(STEPPERS)),
+    ("fixture", str, "wave_cayley", _one_of(FIXTURES)),
+    ("negative_control", bool, False, None),
+    ("out", str, ".", None),
+    ("rho", str, "constant:1", _profile_parts),
+    ("young", str, "constant:1", _profile_parts),
+    ("k_v", str, "constant:1", _profile_parts),
+    ("k_s", str, "constant:1", _profile_parts),
+    ("s_fun", str, "constant:1", _profile_parts),
+)
+_TYPES = {key: kind for key, kind, _, _ in _KEYS}
+
+# `out` is deliberately not echoed so report bodies do not depend on paths
+_ECHO_KEYS = tuple(sorted(key for key in _TYPES if key != "out"))
+
+
+class ExperimentConfig(object):
+    """Validated flat configuration for one experiment run.
+
+    Takes the config keys as keyword arguments; `_KEYS` gives each key's
+    type, default and range, and `experiment` is required.  The stepper
+    defaults to the exact exponential for the undamped wave and
+    Crank-Nicolson otherwise.  Coefficient profiles are strings
+    `constant:<v>`, `linear:<a>,<b>` (a + b xi) or `power:<e>` (xi^e),
+    sampled per grid point.
+    """
+
+    def __init__(self, **values):
+        unknown = sorted(set(values) - set(_TYPES))
+        if unknown:
+            raise TypeError("unknown config key %r" % unknown[0])
+        if values.get("experiment") is None:
+            raise ValueError("missing required key 'experiment'")
+        if values.get("stepper") is None:
+            values["stepper"] = ("expm" if values["experiment"] == "wave_heat"
+                                 else "crank_nicolson")
+        for key, kind, default, rule in _KEYS:
+            value = values.get(key, default)
+            if rule is not None:
+                rule(key, value)
+            if key == "T" and not value >= self.dt:
+                raise ValueError("T must be at least dt, got T = %s, dt = %s"
+                                 % (value, self.dt))
+            setattr(self, key, kind(value))
+
+    def as_dict(self):
+        return {key: getattr(self, key) for key in _TYPES}
+
+    def with_seed(self, seed):
+        values = self.as_dict()
+        values["seed"] = int(seed)
+        return ExperimentConfig(**values)
+
+
+def _parse_value(key, kind, text):
+    """The text of one config value as its key's type."""
+    if kind is str:
+        return text
+    if kind is bool:
+        lowered = text.lower()
+        if lowered in ("true", "yes", "1"):
+            return True
+        if lowered in ("false", "no", "0"):
+            return False
+        raise ValueError("%s expects true or false, got %r" % (key, text))
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError("%s expects %s, got %r" % (
+            key, "an integer" if kind is int else "a number", text))
+    if not math.isfinite(value):
+        raise ValueError("%s expects a finite number, got %r" % (key, text))
+    return value
+
+
+def parse_config(text):
+    """Parse `key = value` lines (with `#` comments) into an ExperimentConfig.
+
+    Unknown and duplicate keys are rejected with their line number;
+    values are type-checked per key and range-checked on construction.
+    """
+    values = {}
+    lines = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError("line %d: expected `key = value`, got %r"
+                             % (lineno, line))
+        key = key.strip()
+        value = value.strip()
+        if key not in _TYPES:
+            raise ValueError("line %d: unknown key %r" % (lineno, key))
+        if key in values:
+            raise ValueError("line %d: duplicate key %r (first at line %d)"
+                             % (lineno, key, lines[key]))
+        if not value:
+            raise ValueError("line %d: empty value for %r" % (lineno, key))
+        values[key] = value
+        lines[key] = lineno
+    parsed = {}
+    for key, value in values.items():
+        try:
+            parsed[key] = _parse_value(key, _TYPES[key], value)
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lines[key], exc))
+    return ExperimentConfig(**parsed)
+
+
 def _profile_values(profile, points, key):
-    kind, args = _profile_parts(profile, key)
+    kind, args = _profile_parts(key, profile)
     points = np.asarray(points, dtype=float)
     if kind == "constant":
         return np.full(points.shape, args[0])
@@ -358,6 +329,15 @@ def _random_dissipative_ext(rng, n1, n2, gap=0.1):
                             m[n1:, :n1], m[n1:, n1:])
 
 
+def _require_command(config, command):
+    """Refuse a config whose experiment the command does not run."""
+    allowed = _COMMANDS[command]
+    if config.experiment not in allowed:
+        raise ValueError(
+            "experiment %r is not valid for the %s command (expected %s)"
+            % (config.experiment, command, "|".join(allowed)))
+
+
 def _check(name, measured, threshold):
     measured = float(measured)
     return Check(name, measured, float(threshold), measured <= threshold)
@@ -429,9 +409,7 @@ def _check_passivity_lmi(rng, config):
 
 def run_verify(config):
     """Randomized verification suites at the configured seed and sizes."""
-    if config.experiment != "verify_random":
-        raise ValueError("verify requires experiment = verify_random, "
-                         "got %r" % config.experiment)
+    _require_command(config, "verify")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     checks = [
@@ -475,10 +453,7 @@ def run_simulate(config):
     CSV columns are t, energy, norm_bound_ok; norm_bound_ok flags rows
     whose energy stays within (1 + 1e-6) of the start.
     """
-    if config.experiment not in ("wave_heat", "viscous", "structural",
-                                 "combined", "degenerate"):
-        raise ValueError("simulate requires a PDE experiment, got %r"
-                         % config.experiment)
+    _require_command(config, "simulate")
     start = time.perf_counter()
     generator, gram, x0 = _simulate_setup(config)
     traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,
@@ -520,9 +495,7 @@ def _fixture_node(config):
 
 def run_ionorm(config):
     """Sweep input/output-map norms over {T/4, T/2, T, 2T}; (report, CSV)."""
-    if config.experiment != "ionorm":
-        raise ValueError("ionorm requires experiment = ionorm, got %r"
-                         % config.experiment)
+    _require_command(config, "ionorm")
     start = time.perf_counter()
     node = _fixture_node(config)
     horizons = [config.T * f for f in (0.25, 0.5, 1.0, 2.0)]
@@ -556,15 +529,6 @@ def run_ionorm(config):
     report = RunReport("ionorm", config, checks, time.perf_counter() - start,
                        diagnostics)
     return report, csv_text
-
-
-_CSV_NAMES = {"simulate": "simulate.csv", "ionorm": "ionorm.csv"}
-_ALLOWED_EXPERIMENTS = {
-    "verify": ("verify_random",),
-    "simulate": ("wave_heat", "viscous", "structural", "combined",
-                 "degenerate"),
-    "ionorm": ("ionorm",),
-}
 
 
 def _write_outputs(out_dir, outputs):
@@ -614,11 +578,6 @@ def main(argv=None):
         config = parse_config(text)
         if args.seed is not None:
             config = config.with_seed(args.seed)
-        if config.experiment not in _ALLOWED_EXPERIMENTS[args.command]:
-            raise ValueError(
-                "experiment %r is not valid for the %s command (expected %s)"
-                % (config.experiment, args.command,
-                   "|".join(_ALLOWED_EXPERIMENTS[args.command])))
         if args.command == "verify":
             report, csv_text = run_verify(config), None
         elif args.command == "simulate":
@@ -627,7 +586,7 @@ def main(argv=None):
             report, csv_text = run_ionorm(config)
         outputs = [("report.txt", report.body())]
         if csv_text is not None:
-            outputs.append((_CSV_NAMES[args.command], csv_text))
+            outputs.append(("%s.csv" % args.command, csv_text))
         _write_outputs(args.out if args.out is not None else config.out,
                        outputs)
     except ValueError as exc:

@@ -1,13 +1,9 @@
-"""Time integration, node trajectories, passivity ledgers and finite-horizon
-input/output-map norms.
+"""Time integration, energy ledgers and finite-horizon input/output-map
+norms.
 
 Stepping is either the exact matrix exponential or the Crank-Nicolson
 rational approximation; both map dissipative generators to contraction
-steps, so energy ledgers certify rather than approximate.  Node
-trajectories use zero-order-hold inputs with the exact per-step update
-x_{k+1} = e^{A dt} x_k + (int_0^dt e^{As} ds) B u_k, all step integrals
-coming from augmented-matrix exponentials so that singular A (the wave
-Cayley node) needs no inverse.
+steps, so energy ledgers certify rather than approximate.
 
 The input/output map on a horizon T is estimated by projecting inputs
 onto piecewise constants and outputs onto per-step averages, which gives
@@ -29,7 +25,6 @@ __all__ = [
     "IoMapEstimate",
     "cn_step",
     "simulate_semigroup",
-    "simulate_node",
     "io_map_norm",
     "feedthrough_deviation",
 ]
@@ -59,39 +54,24 @@ def cn_step(a, dt):
 
 
 class Trajectory(object):
-    """Sampled trajectory with its energy ledger.
+    """Sampled semigroup trajectory with its energy ledger.
 
-    times has nsamples entries; x_samples, u_samples, y_samples and
-    energy share that length (u/y are None for pure semigroup runs).
-    x_samples is float64 for semigroup runs of a real one-step matrix
-    from a real start and complex128 otherwise.  energy holds the squared
-    state norm (weighted when a Gram was supplied).  input_energy and
-    output_energy are cumulative integrals of the squared input/output
-    norms up to each sample instant.  The output integral is exact for
-    the zero-order-hold trajectory (per-step observability Gramian), not
-    a sampled sum: left-endpoint sums can overshoot the true integral by
-    O(dt), which would spoil the passivity ledger
-    x_N energy + output_energy <= x_0 energy + input_energy that holds
-    exactly for passive nodes.
+    times, x_samples and energy share one length, nsamples.  x_samples
+    is float64 for runs of a real one-step matrix from a real start and
+    complex128 otherwise.  energy holds the squared state norm (weighted
+    when a Gram was supplied).
     """
 
-    def __init__(self, dt, times, x_samples, energy, u_samples=None,
-                 y_samples=None, input_energy=None, output_energy=None):
+    def __init__(self, dt, times, x_samples, energy):
         self.dt = float(dt)
         self.times = np.asarray(times, dtype=float)
         self.x_samples = np.asarray(x_samples)
         self.energy = np.asarray(energy, dtype=float)
-        self.u_samples = u_samples
-        self.y_samples = y_samples
-        self.input_energy = input_energy
-        self.output_energy = output_energy
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         n = self.times.shape[0]
-        arrays = [self.x_samples, self.energy, u_samples, y_samples,
-                  input_energy, output_energy]
-        for arr in arrays:
-            if arr is not None and np.asarray(arr).shape[0] != n:
+        for arr in (self.x_samples, self.energy):
+            if arr.shape[0] != n:
                 raise ValueError("sample arrays must share length %d" % n)
         if (self.energy < -1e-15).any():
             raise ValueError("energy entries must be nonnegative")
@@ -178,21 +158,13 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     return Trajectory(dt, times, xs, energy)
 
 
-def _zoh_matrices(a, b, dt):
-    """Exact ZOH pair (e^{A dt}, int_0^dt e^{As} ds B) via one exponential."""
-    n, m = a.shape[0], b.shape[1]
-    aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = a
-    aug[:n, n:] = b
-    f = expm(aug, dt)
-    return f[:n, :n], f[:n, n:]
-
-
 def _quadrature_matrices(a, b, dt):
     """(E, Phi, Theta, Psi2) step integrals from one augmented exponential.
 
     E = e^{A dt}, Phi = int e^{As} ds B, Theta = int e^{As} ds,
-    Psi2 = int (dt - s) e^{As} ds B; all exact up to expm accuracy.
+    Psi2 = int (dt - s) e^{As} ds B; all exact up to expm accuracy.  The
+    augmented form needs no inverse, so singular A (the wave Cayley node)
+    is no special case.
     """
     n, m = a.shape[0], b.shape[1]
     w = m + n
@@ -207,97 +179,6 @@ def _quadrature_matrices(a, b, dt):
     theta = f[:n, n + m:n + w]
     psi2 = f[:n, n + w:n + w + m]
     return e_step, phi, theta, psi2
-
-
-def _output_gramian(a, b, c, d, dt):
-    """Exact per-step output energy form for ZOH trajectories.
-
-    Returns Q with int_0^dt ||C x(s) + D u||^2 ds = [x_k; u_k]^H Q [x_k; u_k],
-    computed from the observability Gramian of the augmented constant-input
-    system via a single matrix exponential.
-    """
-    n, m = a.shape[0], b.shape[1]
-    k = n + m
-    abar = np.zeros((k, k), dtype=complex)
-    abar[:n, :n] = a
-    abar[:n, n:] = b
-    cbar = np.hstack([c, d])
-    aug = np.zeros((2 * k, 2 * k), dtype=complex)
-    aug[:k, :k] = -abar.conj().T
-    aug[:k, k:] = cbar.conj().T @ cbar
-    aug[k:, k:] = abar
-    f = expm(aug, dt)
-    q = f[k:, k:].conj().T @ f[:k, k:]
-    return (q + q.conj().T) / 2.0
-
-
-def _input_samples(u, times, ninputs):
-    """Input samples at the step boundaries, shaped (nsamples, ninputs)."""
-    nsamples = times.shape[0]
-    if u is None:
-        return np.zeros((nsamples, ninputs), dtype=complex)
-    if callable(u):
-        rows = [np.atleast_1d(np.asarray(u(t), dtype=complex)) for t in times]
-        us = np.vstack([r.reshape(1, -1) for r in rows])
-    else:
-        us = np.asarray(u, dtype=complex)
-        if us.ndim == 0:
-            us = np.full((nsamples, ninputs), complex(us))
-        elif us.ndim == 1:
-            if us.shape[0] == ninputs:
-                us = np.tile(us, (nsamples, 1))
-            elif ninputs == 1:
-                us = us.reshape(-1, 1)
-            else:
-                raise ValueError("cannot interpret 1-D input samples of "
-                                 "length %d" % us.shape[0])
-    if us.shape != (nsamples, ninputs):
-        raise ValueError("input samples must have shape (%d, %d), got %s"
-                         % (nsamples, ninputs, us.shape))
-    return us
-
-
-def simulate_node(node, x0, u, T, dt):
-    """Exact zero-order-hold trajectory of a system node.
-
-    The input is held constant on each step at its left-boundary sample.
-    The returned trajectory carries instantaneous outputs
-    y_k = C x_k + D u_k and the cumulative energy ledger: input energy is
-    the exact integral of ||u||^2 (a sum, since u is piecewise constant)
-    and output energy the exact integral of ||y||^2 per step.
-    """
-    if not isinstance(node, SystemNode):
-        raise TypeError("simulate_node expects a SystemNode")
-    x = np.asarray(x0, dtype=complex).reshape(-1)
-    if x.shape[0] != node.nstates:
-        raise ValueError("x0 has dimension %d, expected %d"
-                         % (x.shape[0], node.nstates))
-    nsteps = _steps_of(T, dt)
-    dt = float(dt)
-    times = dt * np.arange(nsteps + 1)
-    us = _input_samples(u, times, node.ninputs)
-    e_step, phi = _zoh_matrices(node.a, node.b, dt)
-    q_out = _output_gramian(node.a, node.b, node.c, node.d, dt)
-
-    xs = np.empty((nsteps + 1, node.nstates), dtype=complex)
-    ys = np.empty((nsteps + 1, node.noutputs), dtype=complex)
-    energy = np.empty(nsteps + 1)
-    in_energy = np.zeros(nsteps + 1)
-    out_energy = np.zeros(nsteps + 1)
-    xs[0] = x
-    energy[0] = float(np.real(np.vdot(x, x)))
-    for k in range(nsteps):
-        uk = us[k]
-        ys[k] = node.c @ xs[k] + node.d @ uk
-        w = np.concatenate([xs[k], uk])
-        out_energy[k + 1] = out_energy[k] + float(
-            np.real(np.vdot(w, q_out @ w)))
-        in_energy[k + 1] = in_energy[k] + dt * float(np.real(np.vdot(uk, uk)))
-        xs[k + 1] = e_step @ xs[k] + phi @ uk
-        energy[k + 1] = float(np.real(np.vdot(xs[k + 1], xs[k + 1])))
-    ys[nsteps] = node.c @ xs[nsteps] + node.d @ us[nsteps]
-    return Trajectory(dt, times, xs, energy, u_samples=us, y_samples=ys,
-                      input_energy=in_energy, output_energy=out_energy)
 
 
 def _toeplitz_blocks(node, T, nsteps):

@@ -1,7 +1,8 @@
 """Shared random-matrix builders for the test suite.
 
 All randomness flows through explicit numpy generators with fixed seeds so
-every run sees the same matrices.
+every run sees the same matrices.  The builders are the ones the `verify`
+suites draw from; only random_contraction is test-only.
 """
 
 import inspect
@@ -9,34 +10,10 @@ import inspect
 import numpy as np
 import pytest
 
-from semilab.numkernel import dissipativity_margin
-from semilab.sysnode import ExtendedOperator
-
-
-def random_matrix(rng, n, scale=1.0):
-    real = rng.standard_normal((n, n))
-    imag = rng.standard_normal((n, n))
-    return scale * (real + 1j * imag) / np.sqrt(2.0 * n)
-
-
-def random_accretive(rng, n, floor=0.05):
-    """Random matrix shifted so its Hermitian part has min eigenvalue = floor."""
-    m = random_matrix(rng, n)
-    herm = (m + m.conj().T) / 2.0
-    shift = floor - np.linalg.eigvalsh(herm).min()
-    return m + shift * np.eye(n)
-
-
-def random_dissipative(rng, n, gap=0.1):
-    """Random matrix shifted to dissipativity margin exactly -gap."""
-    m = random_matrix(rng, n)
-    return m - (dissipativity_margin(m) + gap) * np.eye(n)
-
-
-def random_dissipative_ext(rng, n1, n2, gap=0.1):
-    m = random_dissipative(rng, n1 + n2, gap)
-    return ExtendedOperator(m[:n1, :n1], m[:n1, n1:],
-                            m[n1:, :n1], m[n1:, n1:])
+from semilab.cli import _random_accretive as random_accretive
+from semilab.cli import _random_dissipative as random_dissipative
+from semilab.cli import _random_dissipative_ext as random_dissipative_ext
+from semilab.cli import _random_matrix as random_matrix
 
 
 def random_contraction(rng, n, margin=0.05):

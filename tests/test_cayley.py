@@ -30,7 +30,7 @@ class TestWrappers:
         assert AccretiveOperator(np.array([[-1e-13]])).delta == 0.0
 
     def test_accretive_matrix_needs_no_norm(self, rng, svd_calls):
-        AccretiveOperator(random_accretive(rng, 6))
+        AccretiveOperator(random_accretive(rng, 6, floor=0.05))
         AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert svd_calls == []
 
@@ -67,7 +67,7 @@ class TestCayleyTransform:
 
     def test_roundtrip_both_ways(self, rng):
         for n in (1, 2, 5, 9):
-            s = AccretiveOperator(random_accretive(rng, n))
+            s = AccretiveOperator(random_accretive(rng, n, floor=0.05))
             s2 = accretive_of_contraction(cayley_of_accretive(s))
             assert op_norm(s2.matrix - s.matrix) <= 1e-9 * (1 + op_norm(s.matrix))
             k = ContractionOperator(random_contraction(rng, n))

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,10 +14,12 @@ from semilab.cli import (
     run_simulate,
     run_verify,
 )
-from semilab.cli import _profile_values, main
+from semilab.cli import EXPERIMENTS, FIXTURES, _KEYS, _profile_values, main
 from semilab.numkernel import Gram
 from semilab.simkit import Trajectory
 
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 VERIFY_TEXT = """\
 # randomized suites, kept small for test speed
@@ -98,6 +101,54 @@ class TestParseConfig:
         assert config.seed == 7
         assert config.cases == 10
         assert ExperimentConfig(**config.as_dict()).seed == 7
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError, match="unknown config key 'mesh'"):
+            ExperimentConfig(experiment="verify_random", mesh=3)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["dt", "T", "tol", "alpha_exp", "kappa",
+                                     "delta_floor"])
+    def test_numbers_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match="line 2: %s expects a finite "
+                           "number, got '%s'" % (key, value)):
+            parse_config("experiment = verify_random\n%s = %s\n"
+                         % (key, value))
+
+
+class TestKeyTable:
+    def readme_table(self):
+        with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+            text = f.read()
+        block = text.split("Keys and defaults", 1)[1].split("\n\n")[1]
+        rows = [line.strip("|").split("|")
+                for line in block.splitlines()[2:]]
+        return [(key.strip(), meaning.strip())
+                for keys, _, meaning in rows for key in keys.split(",")]
+
+    def test_readme_names_every_key(self):
+        assert (sorted(key for key, _ in self.readme_table())
+                == sorted(key for key, _, _, _ in _KEYS))
+
+    def test_readme_lists_experiments_and_fixtures(self):
+        table = dict(self.readme_table())
+        assert tuple(table["experiment"].split(", ")) == EXPERIMENTS
+        fixtures = table["fixture"].split(": ", 1)[1]
+        assert tuple(fixtures.split(", ")) == FIXTURES
+
+    def test_tracer_wraps_every_public_binding(self):
+        # the benchmark's tracer sees only module attributes; a public
+        # function kept in a dispatch table would escape it
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", os.path.join(REPO, "perfbench", "tracer.py"))
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            assert traced.uncovered() == []
+        finally:
+            traced.uninstall()
 
 
 class TestRunVerify:

@@ -32,14 +32,14 @@ class TestInternalLoop:
     def test_zero_a22_closed_form(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
         ext0 = ExtendedOperator(ext.a11, ext.a12, ext.a21, np.zeros((2, 2)))
-        s = random_accretive(rng, 2)
+        s = random_accretive(rng, 2, floor=0.05)
         result = internal_loop(ext0, s)
         assert np.allclose(result.a_s, ext.a11 + ext.a12 @ s @ ext.a21)
         assert result.loop_solve_condition == pytest.approx(1.0)
 
     def test_general_a22(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
-        s = random_accretive(rng, 2)
+        s = random_accretive(rng, 2, floor=0.05)
         w = np.eye(2) - ext.a22 @ s
         ref = ext.a11 + ext.a12 @ s @ np.linalg.solve(w, ext.a21)
         assert np.allclose(internal_loop(ext, s).a_s, ref)
@@ -51,7 +51,7 @@ class TestInternalLoop:
 
     def test_accretive_wrapper_accepted(self, rng):
         ext = random_dissipative_ext(rng, 2, 2)
-        s = AccretiveOperator(random_accretive(rng, 2))
+        s = AccretiveOperator(random_accretive(rng, 2, floor=0.05))
         assert np.allclose(internal_loop(ext, s).a_s,
                            internal_loop(ext, s.matrix).a_s)
 

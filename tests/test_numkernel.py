@@ -210,7 +210,7 @@ class TestExpm:
     def test_matches_scipy(self, rng):
         worst = 0.0
         for n in (1, 2, 5, 12, 20):
-            a = random_matrix(rng, n, scale=3.0)
+            a = 3.0 * random_matrix(rng, n)
             for t in (0.05, 1.0, 7.0):
                 ref = scipy.linalg.expm(a * t)
                 err = op_norm(expm(a, t) - ref) / max(op_norm(ref), 1.0)

@@ -12,12 +12,11 @@ from semilab.simkit import (
     cn_step,
     feedthrough_deviation,
     io_map_norm,
-    simulate_node,
     simulate_semigroup,
 )
 from semilab.sysnode import SystemNode, external_cayley
 
-from conftest import random_dissipative, random_dissipative_ext
+from conftest import random_dissipative
 
 
 def scalar_node(a, b, c, d):
@@ -171,78 +170,6 @@ class TestSimulateSemigroup:
     def test_x0_required(self):
         with pytest.raises(ValueError):
             simulate_semigroup(np.zeros((2, 2)))
-
-
-class TestSimulateNode:
-    def test_relaxation_with_constant_input(self):
-        # x' = -x + 1, x(0) = 0 has x(t) = 1 - e^{-t}; the input really is
-        # constant so the hold is exact over the whole horizon
-        node = scalar_node(-1.0, 1.0, 1.0, 0.0)
-        T = 2.0
-        tr = simulate_node(node, [0.0], 1.0, T=T, dt=0.125)
-        exact = 1.0 - np.exp(-tr.times)
-        assert np.abs(tr.x_samples[:, 0] - exact).max() <= 1e-12
-        assert np.abs(tr.y_samples[:, 0] - exact).max() <= 1e-12
-        assert tr.input_energy[-1] == pytest.approx(T, abs=1e-12)
-        out_exact = T - 2.0 * (1 - np.exp(-T)) + (1 - np.exp(-2 * T)) / 2.0
-        assert tr.output_energy[-1] == pytest.approx(out_exact, abs=1e-12)
-
-    def test_staircase_input_recurrence(self):
-        # left-endpoint hold of u(t) = t gives the exact linear recurrence
-        # x_{k+1} = e^{-dt} x_k + (1 - e^{-dt}) t_k
-        node = scalar_node(-1.0, 1.0, 1.0, 0.0)
-        dt = 0.25
-        tr = simulate_node(node, [0.5], lambda t: t, T=2.0, dt=dt)
-        alpha = np.exp(-dt)
-        x = 0.5
-        for k in range(tr.nsamples - 1):
-            x = alpha * x + (1 - alpha) * tr.times[k]
-            assert abs(tr.x_samples[k + 1, 0] - x) <= 1e-12
-
-    def test_wave_cayley_passes_constants_through(self):
-        # constant-in-space inputs sit in the kernel of B, so the state
-        # never moves and the node acts as the identity feedthrough
-        grid = Grid1D(12)
-        node = external_cayley(wave_ext(grid))
-        u = np.ones(node.ninputs)
-        tr = simulate_node(node, np.zeros(node.nstates), u, T=1.0, dt=0.05)
-        assert np.abs(tr.x_samples).max() <= 1e-13
-        assert np.abs(tr.y_samples - u).max() <= 1e-13
-        ledger = (tr.energy[-1] + tr.output_energy[-1]
-                  - tr.energy[0] - tr.input_energy[-1])
-        assert abs(ledger) <= 1e-10 * (1 + tr.input_energy[-1])
-
-    def test_passive_node_energy_ledger(self, rng):
-        for _ in range(5):
-            ext = random_dissipative_ext(rng, 3, 2)
-            node = external_cayley(ext)
-            x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            u = lambda t: np.array([np.sin(3 * t), np.cos(t) + 0.5j])
-            tr = simulate_node(node, x0, u, T=2.0, dt=0.01)
-            surplus = (tr.energy[-1] + tr.output_energy[-1]
-                       - tr.energy[0] - tr.input_energy[-1])
-            assert surplus <= 1e-8 * (1 + tr.energy[0] + tr.input_energy[-1])
-
-    def test_cumulative_ledgers_monotone(self):
-        node = scalar_node(-0.5, 1.0, 1.0, 0.25)
-        tr = simulate_node(node, [1.0], lambda t: np.cos(t), T=3.0, dt=0.05)
-        assert (np.diff(tr.input_energy) >= 0.0).all()
-        assert (np.diff(tr.output_energy) >= 0.0).all()
-        assert tr.input_energy[0] == 0.0 and tr.output_energy[0] == 0.0
-
-    def test_input_sample_shapes(self):
-        node = SystemNode(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-        samples = np.ones((5, 2))
-        tr = simulate_node(node, [0.0, 0.0], samples, T=1.0, dt=0.25)
-        assert tr.u_samples.shape == (5, 2)
-        with pytest.raises(ValueError):
-            simulate_node(node, [0.0, 0.0], np.ones((4, 2)), T=1.0, dt=0.25)
-        with pytest.raises(ValueError):
-            simulate_node(node, [0.0, 0.0], np.ones(5), T=1.0, dt=0.25)
-
-    def test_rejects_non_node(self):
-        with pytest.raises(TypeError):
-            simulate_node(np.eye(2), [0.0, 0.0], None, 1.0, 0.5)
 
 
 class TestIoMapNorm:
