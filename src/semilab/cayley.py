@@ -63,10 +63,6 @@ class ContractionOperator(object):
         return self.matrix.shape[0]
 
 
-def _matrix_of(op):
-    return op.matrix if hasattr(op, "matrix") else np.asarray(op, dtype=complex)
-
-
 def cayley_of_accretive(s):
     """Cayley transform K = (S - I)(S + I)^{-1} of an accretive S.
 
@@ -77,7 +73,7 @@ def cayley_of_accretive(s):
     if not isinstance(s, AccretiveOperator):
         s = AccretiveOperator(s)
     m = s.matrix
-    ident = np.eye(s.dim, dtype=complex)
+    ident = np.eye(s.dim, dtype=m.dtype)
     return ContractionOperator(SvdFactor(m + ident, "S + I").rsolve(m - ident))
 
 
@@ -91,7 +87,7 @@ def accretive_of_contraction(k):
     if not isinstance(k, ContractionOperator):
         k = ContractionOperator(k)
     m = k.matrix
-    ident = np.eye(k.dim, dtype=complex)
+    ident = np.eye(k.dim, dtype=m.dtype)
     return AccretiveOperator(SvdFactor(ident - m, "I - K").rsolve(ident + m))
 
 
@@ -105,7 +101,7 @@ def strict_contraction_bound(s):
         s = AccretiveOperator(s)
     if s.delta <= 0.0:
         raise ValueError("delta = 0: the strict contraction bound degenerates to 1")
-    denom = op_norm(s.matrix + np.eye(s.dim, dtype=complex)) ** 2
+    denom = op_norm(s.matrix + np.eye(s.dim, dtype=s.matrix.dtype)) ** 2
     return math.sqrt(max(1.0 - 4.0 * s.delta / denom, 0.0))
 
 
@@ -113,7 +109,7 @@ def accretivity_lower_bound(k):
     """Accretivity bound delta = (1 - ||K||^2) / ||I - K||^2 of the inverse transform."""
     if not isinstance(k, ContractionOperator):
         k = ContractionOperator(k)
-    ident = np.eye(k.dim, dtype=complex)
+    ident = np.eye(k.dim, dtype=k.matrix.dtype)
     defect = SvdFactor(ident - k.matrix, "I - K")
     if defect.singular:
         raise ValueError("I - K is singular to working precision")

@@ -175,6 +175,9 @@ class ExperimentConfig(object):
                                  else "crank_nicolson")
         for key, kind, default, rule in _KEYS:
             value = values.get(key, default)
+            if kind is float and not math.isfinite(value):
+                raise ValueError("%s must be a finite number, got %r"
+                                 % (key, value))
             if rule is not None:
                 rule(key, value)
             if key == "T" and not value >= self.dt:
@@ -394,8 +397,8 @@ def _check_loop_vs_feedback(rng, config):
 def _check_passivity_lmi(rng, config):
     if config.negative_control:
         # accretive 1x1 block: the Cayley node must fail the LMI
-        one = np.array([[1.0 + 0j]])
-        zero = np.zeros((1, 1), dtype=complex)
+        one = np.eye(1)
+        zero = np.zeros((1, 1))
         node = external_cayley(ExtendedOperator(one, zero, zero, zero))
         return _check("passivity_lmi", passivity_check(node), config.tol)
     worst = -np.inf
@@ -428,7 +431,7 @@ def _simulate_setup(config):
     coeffs = _coefficients(config, grid)
     if config.experiment == "degenerate":
         a_s1 = degenerate_as1(grid, coeffs)
-        gram = Gram(grid.h * np.eye(config.n, dtype=complex))
+        gram = Gram(grid.h * np.eye(config.n))
         x0 = np.sin(np.pi * grid.midpoints)
         return a_s1, gram, x0
     if config.experiment == "wave_heat":
@@ -485,12 +488,10 @@ def _fixture_node(config):
         grid = Grid1D(config.n)
         ext, _, _ = wave_viscous_ext(grid, _coefficients(config, grid))
         return external_cayley(ext)
+    zero = np.zeros((1, 1))
     if config.fixture == "feedthrough":
-        zero = np.zeros((1, 1), dtype=complex)
-        return SystemNode(zero, zero, zero, np.array([[0.5 + 0j]]))
-    zero = np.zeros((1, 1), dtype=complex)
-    one = np.eye(1, dtype=complex)
-    return SystemNode(zero, one, one, zero)
+        return SystemNode(zero, zero, zero, 0.5 * np.eye(1))
+    return SystemNode(zero, np.eye(1), np.eye(1), zero)
 
 
 def run_ionorm(config):

@@ -85,8 +85,8 @@ def internal_loop(ext, s):
         # triangular case: f = A21 x directly
         a_s = ext.a11 + ext.a12 @ (sm @ ext.a21)
         return InternalLoopResult(a_s, 1.0)
-    w = SvdFactor(np.eye(ext.n2, dtype=complex) - ext.a22 @ sm,
-                  "I - A22 S", unit_anchor=True)
+    w = SvdFactor(np.eye(ext.n2) - ext.a22 @ sm, "I - A22 S",
+                  unit_anchor=True)
     if not w.singular:
         return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ w.solve(ext.a21)),
                                   w.cond)
@@ -107,7 +107,7 @@ def internal_loop(ext, s):
     if rank:
         f = vh_r.conj().T @ ((u_r.conj().T @ ext.a21) / sv_r[:, None])
     else:
-        f = np.zeros((ext.n2, ext.n1), dtype=complex)
+        f = np.zeros((ext.n2, ext.n1))
     return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ f), w.cond)
 
 
@@ -133,8 +133,8 @@ def check_admissible(node, k):
                          % ((node.ninputs, node.noutputs), km.shape))
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
-    kd = SvdFactor(np.eye(node.ninputs, dtype=complex) - km @ node.d,
-                   "I - K D", unit_anchor=True)
+    kd = SvdFactor(np.eye(node.ninputs) - km @ node.d, "I - K D",
+                   unit_anchor=True)
     if kd.singular:
         return FeedbackResult(False, None, kd.cond)
     x = kd.solve(km @ node.c)

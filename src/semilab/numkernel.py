@@ -1,10 +1,10 @@
-"""Dense complex linear algebra and semigroup-theoretic primitives.
+"""Dense linear algebra and semigroup-theoretic primitives.
 
-Every operator in this package is carried by a dense complex matrix
-(numpy ndarray, complex128); only the semigroup trajectories of simkit
-drop to float64, when the one-step matrix and the start are real, and
-``Gram.squared_norms`` keeps such rows real.  This module provides the
-shared plumbing: Hermitian parts, dissipativity margins (plain and
+Every operator in this package is a dense matrix over the complex field;
+a real one is carried as float64 (zero imaginary part) and numpy's
+promotion makes a result complex128 only when an operand is, with
+``as_complex_matrix`` the one coercion.  This module provides the shared
+plumbing: Hermitian parts, dissipativity margins (plain and
 Gram-weighted), operator norms, a matrix exponential, contraction
 certificates, and SVD solves.
 
@@ -39,10 +39,20 @@ __all__ = [
 #: condition number beyond which a solve is treated as singular
 COND_LIMIT = 1e12
 
+_KEPT_DTYPES = frozenset([np.dtype(np.float64), np.dtype(np.complex128)])
+
 
 def as_complex_matrix(a, name="matrix"):
-    """Coerce ``a`` to a 2-D complex128 ndarray with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce ``a`` to a 2-D float64 or complex128 array with finite entries.
+
+    float64 and complex128 pass through; any other dtype goes to its
+    promotion with float64 (int and bool to float64, complex64 to
+    complex128), so real data stays real.  The name stays because the
+    benchmark in perfbench counts calls to this function by name.
+    """
+    m = np.asarray(a)
+    if m.dtype not in _KEPT_DTYPES:
+        m = m.astype(np.result_type(m.dtype, np.float64))
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2:
@@ -181,19 +191,16 @@ class Gram(object):
     def squared_norms(self, rows):
         """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
 
-        One ``rows @ H.T`` product serves all rows; real rows against a
-        real H stay in float64.
+        One ``rows @ H.T`` product serves all rows, in the dtype numpy
+        promotes the rows and H to.
         """
         x = np.asarray(rows)
-        h = self.matrix
-        if np.isrealobj(x) and not h.imag.any():
-            h = h.real
-        q = np.einsum("ij,ij->i", x.conj(), x @ h.T).real
+        q = np.einsum("ij,ij->i", x.conj(), x @ self.matrix.T).real
         return np.maximum(q, 0.0)
 
     def weighted_vector_norm(self, x):
         """The H-norm of one vector: the one-row case of squared_norms."""
-        v = np.asarray(x, dtype=complex).reshape(1, -1)
+        v = np.asarray(x).reshape(1, -1)
         return float(math.sqrt(self.squared_norms(v)[0]))
 
 
@@ -262,7 +269,7 @@ def expm(a, t=1.0):
         m = m / (2.0 ** squarings)
 
     b = _PADE6
-    ident = np.eye(n, dtype=complex)
+    ident = np.eye(n, dtype=m.dtype)
     m2 = m @ m
     m4 = m2 @ m2
     u = m @ (b[1] * ident + b[3] * m2 + b[5] * m4)

@@ -135,7 +135,7 @@ def grad_div_pair(grid):
 
     G maps n-1 interior node values to n midpoint values with zero
     boundary values; Dv = -G^T maps midpoint values back to interior
-    nodes.  Returned as complex matrices.
+    nodes.  Returned as real (float64) matrices.
     """
     n = grid.n_cells
     h = grid.h
@@ -143,14 +143,13 @@ def grad_div_pair(grid):
     idx = np.arange(n - 1)
     g[idx, idx] = 1.0 / h
     g[idx + 1, idx] = -1.0 / h
-    g = g.astype(complex)
     return g, -g.T
 
 
 def energy_gram(grid, coeffs):
     """Energy weight H = diag(1/rho, young) on (momentum, strain) states."""
     diag = np.concatenate([1.0 / coeffs.rho, coeffs.young])
-    return Gram(np.diag(diag.astype(complex)))
+    return Gram(np.diag(diag))
 
 
 def beta_midpoints(grid, alpha_exp):
@@ -186,10 +185,10 @@ def wave_viscous_ext(grid, coeffs, require_uniform=False):
     if require_uniform and coeffs.k_v.min() <= 0.0:
         raise ValueError("k_v must be uniformly positive for a uniformly "
                          "accretive loop operator")
-    a12 = np.vstack([np.eye(nn), np.zeros((nm, nn))]).astype(complex)
-    a21 = np.hstack([-np.eye(nn), np.zeros((nn, nm))]).astype(complex)
+    a12 = np.vstack([np.eye(nn), np.zeros((nm, nn))])
+    a21 = np.hstack([-np.eye(nn), np.zeros((nn, nm))])
     ext = ExtendedOperator(a11, a12, a21, np.zeros((nn, nn)))
-    s_v = AccretiveOperator(np.diag(coeffs.k_v.astype(complex)))
+    s_v = AccretiveOperator(np.diag(coeffs.k_v))
     return ext, energy_gram(grid, coeffs), s_v
 
 
@@ -208,7 +207,7 @@ def wave_structural_ext(grid, coeffs, require_uniform=False):
     a12 = np.vstack([dv, np.zeros((nm, nm))])
     a21 = np.hstack([g, np.zeros((nm, nm))])
     ext = ExtendedOperator(a11, a12, a21, np.zeros((nm, nm)))
-    s_s = AccretiveOperator(np.diag(coeffs.k_s.astype(complex)))
+    s_s = AccretiveOperator(np.diag(coeffs.k_s))
     return ext, energy_gram(grid, coeffs), s_s
 
 
@@ -225,13 +224,11 @@ def wave_combined_ext(grid, coeffs, require_uniform=True):
         raise ValueError("k_s and k_v must both be uniformly positive; the "
                          "combined loop operator loses uniform accretivity "
                          "otherwise")
-    a12 = np.block([[dv, np.eye(nn, dtype=complex)],
-                    [np.zeros((nm, nm + nn))]])
+    a12 = np.block([[dv, np.eye(nn)], [np.zeros((nm, nm + nn))]])
     a21 = np.block([[g, np.zeros((nm, nm))],
-                    [-np.eye(nn, dtype=complex), np.zeros((nn, nm))]])
+                    [-np.eye(nn), np.zeros((nn, nm))]])
     ext = ExtendedOperator(a11, a12, a21, np.zeros((nm + nn, nm + nn)))
-    s_vs = AccretiveOperator(
-        np.diag(np.concatenate([coeffs.k_s, coeffs.k_v]).astype(complex)))
+    s_vs = AccretiveOperator(np.diag(np.concatenate([coeffs.k_s, coeffs.k_v])))
     return ext, energy_gram(grid, coeffs), s_vs
 
 
@@ -249,9 +246,8 @@ def _degenerate_difference_blocks(grid, kappa):
     idx = np.arange(n)
     d1[idx, idx] = 1.0 / h
     d1[idx[1:], idx[:-1]] = -1.0 / h
-    d1 = d1.astype(complex)
     d2 = -d1.T
-    e_block = np.zeros((n, n), dtype=complex)
+    e_block = np.zeros((n, n))
     e_block[n - 1, n - 1] = -kappa / h
     return d1, d2, e_block
 
@@ -268,8 +264,8 @@ def degenerate_ext(grid, coeffs):
     """
     n = grid.n_cells
     d1, d2, e_block = _degenerate_difference_blocks(grid, coeffs.kappa)
-    beta = np.diag(beta_midpoints(grid, coeffs.alpha_exp).astype(complex))
-    zeros_n = np.zeros((n, n), dtype=complex)
+    beta = np.diag(beta_midpoints(grid, coeffs.alpha_exp))
+    zeros_n = np.zeros((n, n))
     a11 = np.block([[zeros_n, d1], [d2, e_block]])
     a12 = np.vstack([zeros_n, beta])
     a21 = np.hstack([zeros_n, -beta])
@@ -292,7 +288,7 @@ def degenerate_as1(grid, coeffs):
     # Robin elimination at xi = 1 shrinks the last flux coefficient
     diff = diff.copy()
     diff[n - 1] = 1.0 / (1.0 / diff[n - 1] + coeffs.kappa / h)
-    return d1 @ (np.diag(diff.astype(complex)) @ d2)
+    return d1 @ (np.diag(diff) @ d2)
 
 
 def degenerate_loop_path(grid, coeffs):
@@ -305,12 +301,12 @@ def degenerate_loop_path(grid, coeffs):
     """
     n = grid.n_cells
     ext = degenerate_ext(grid, coeffs)
-    stage1 = internal_loop(ext, np.eye(n, dtype=complex))
+    stage1 = internal_loop(ext, np.eye(n))
     if stage1.a_s is None:
         raise ValueError("first-stage loop unexpectedly unsolvable")
     as0 = stage1.a_s
     ext2 = ExtendedOperator(as0[:n, :n], as0[:n, n:], as0[n:, :n], as0[n:, n:])
-    stage2 = internal_loop(ext2, np.diag(coeffs.s_fun.astype(complex)))
+    stage2 = internal_loop(ext2, np.diag(coeffs.s_fun))
     if stage2.a_s is None:
         raise ValueError("second-stage loop unexpectedly unsolvable")
     return stage2.a_s
@@ -329,6 +325,6 @@ def neumann_heat_ext(grid, coeffs, beta=None):
     if beta is None:
         beta = beta_midpoints(grid, coeffs.alpha_exp)
     beta = _sample(beta, grid.midpoints, "beta", n)
-    a22 = np.diag((-beta ** 2).astype(complex))
+    a22 = np.diag(-beta ** 2)
     n1 = n - 1
     return ExtendedOperator(np.zeros((n1, n1)), dv, g, a22)

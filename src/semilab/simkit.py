@@ -47,7 +47,7 @@ def cn_step(a, dt):
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)
-    ident = np.eye(m.shape[0], dtype=complex)
+    ident = np.eye(m.shape[0], dtype=m.dtype)
     step, _ = svd_solve(ident - (dt / 2.0) * m, ident + (dt / 2.0) * m,
                         "I - (dt/2) A")
     return step
@@ -57,9 +57,9 @@ class Trajectory(object):
     """Sampled semigroup trajectory with its energy ledger.
 
     times, x_samples and energy share one length, nsamples.  x_samples
-    is float64 for runs of a real one-step matrix from a real start and
-    complex128 otherwise.  energy holds the squared state norm (weighted
-    when a Gram was supplied).
+    has the dtype numpy promotes the one-step matrix and the start to
+    (float64 for a real generator and start).  energy holds the squared
+    state norm (weighted when a Gram was supplied).
     """
 
     def __init__(self, dt, times, x_samples, energy):
@@ -115,17 +115,17 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     """March x' = Ax and record the (possibly weighted) squared norm.
 
     stepper is "expm" (exact) or "crank_nicolson"; the one-step matrix is
-    built once and reused, so dt must divide T.  When the one-step matrix
-    and x0 have zero imaginary part the steps run in float64 and
-    x_samples is real; otherwise they run in complex128.  The energy
-    column is computed after the loop, in blocks of _LEDGER_BLOCK rows.
+    built once and reused, so dt must divide T.  The steps run in the
+    dtype numpy promotes the one-step matrix and x0 to: float64 for a
+    real generator and start, complex128 otherwise.  The energy column
+    is computed after the loop, in blocks of _LEDGER_BLOCK rows.
     For A dissipative in the supplied inner product it is nonincreasing
     up to roundoff.
     """
     m = as_complex_matrix(a, "A")
     if x0 is None:
         raise ValueError("x0 is required")
-    x = np.asarray(x0, dtype=complex).reshape(-1)
+    x = np.asarray(x0).reshape(-1)
     if x.shape[0] != m.shape[0]:
         raise ValueError("x0 has dimension %d, expected %d"
                          % (x.shape[0], m.shape[0]))
@@ -138,9 +138,8 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
         step = cn_step(m, float(dt))
     else:
         raise ValueError("unknown stepper %r" % (stepper,))
-    if not step.imag.any() and not x.imag.any():
-        step = np.ascontiguousarray(step.real)
-        x = x.real
+    # one cast here, so that matmul never mixes dtypes inside the loop
+    step = step.astype(np.result_type(step, x), copy=False)
 
     times = float(dt) * np.arange(nsteps + 1)
     xs = np.empty((nsteps + 1, x.shape[0]), dtype=step.dtype)
@@ -168,7 +167,7 @@ def _quadrature_matrices(a, b, dt):
     """
     n, m = a.shape[0], b.shape[1]
     w = m + n
-    aug = np.zeros((n + 2 * w, n + 2 * w), dtype=complex)
+    aug = np.zeros((n + 2 * w, n + 2 * w), dtype=np.result_type(a, b))
     aug[:n, :n] = a
     aug[:n, n:n + m] = b
     aug[:n, n + m:n + w] = np.eye(n)
@@ -196,7 +195,8 @@ def _toeplitz_blocks(node, T, nsteps):
     if dt <= 0.0:
         raise ValueError("T must be positive")
     e_step, phi, theta, psi2 = _quadrature_matrices(node.a, node.b, dt)
-    blocks = np.empty((nsteps, node.noutputs, node.ninputs), dtype=complex)
+    blocks = np.empty((nsteps, node.noutputs, node.ninputs),
+                      dtype=np.result_type(node.a, node.b, node.c, node.d))
     blocks[0] = node.d + (1.0 / dt) * (node.c @ psi2)
     ctheta = (1.0 / dt) * (node.c @ theta)
     prop = phi
@@ -267,8 +267,6 @@ def _toeplitz_norm(blocks, max_steps=_GKL_MAX_STEPS):
     how far the run was from converging.
     """
     nsteps, p, m = blocks.shape
-    if not blocks.imag.any():
-        blocks = blocks.real
     fwd = _fft_kernel(blocks)
     adj = np.conj(np.transpose(fwd, (0, 2, 1)))
     if p < m:

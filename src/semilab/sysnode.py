@@ -71,8 +71,8 @@ class ExtendedOperator(object):
 
     def apply(self, x, e):
         """Apply the assembled operator to (x, e), returning (z, f)."""
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        e = np.asarray(e, dtype=complex).reshape(-1)
+        x = np.asarray(x).reshape(-1)
+        e = np.asarray(e).reshape(-1)
         if x.shape[0] != self.n1 or e.shape[0] != self.n2:
             raise ValueError("vector dimensions do not match (n1, n2)")
         z = self.a11 @ x + self.a12 @ e
@@ -130,7 +130,7 @@ def external_cayley(ext):
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("external_cayley expects an ExtendedOperator")
-    ident = np.eye(ext.n2, dtype=complex)
+    ident = np.eye(ext.n2, dtype=ext.a22.dtype)
     if not ext.a22.any():
         # A22 = 0 reduction: W = I exactly
         a = ext.a11 + ext.a12 @ ext.a21
@@ -164,7 +164,7 @@ def passivity_check(node, tol=1e-9):
     m = node.ninputs
     top = np.hstack([a + a.conj().T + c.conj().T @ c, b + c.conj().T @ d])
     bot = np.hstack([(b + c.conj().T @ d).conj().T,
-                     d.conj().T @ d - np.eye(m, dtype=complex)])
+                     d.conj().T @ d - np.eye(m, dtype=d.dtype)])
     block = np.vstack([top, bot])
     block = (block + block.conj().T) / 2.0
     lam = float(np.linalg.eigvalsh(block).max())
@@ -173,8 +173,8 @@ def passivity_check(node, tol=1e-9):
 
 def node_apply(node, x, u):
     """Evaluate (z, y) = (A x + B u, C x + D u)."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    x = np.asarray(x).reshape(-1)
+    u = np.asarray(u).reshape(-1)
     if x.shape[0] != node.nstates:
         raise ValueError("state has dimension %d, expected %d"
                          % (x.shape[0], node.nstates))

@@ -14,12 +14,31 @@ from semilab.cli import (
     run_simulate,
     run_verify,
 )
-from semilab.cli import EXPERIMENTS, FIXTURES, _KEYS, _profile_values, main
+from semilab.cli import (
+    EXPERIMENTS,
+    FIXTURES,
+    _COMMANDS,
+    _KEYS,
+    _profile_values,
+    _simulate_setup,
+    main,
+)
 from semilab.numkernel import Gram
 from semilab.simkit import Trajectory
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FLOAT_KEYS = [key for key, kind, _, _ in _KEYS if kind is float]
+
+
+def load_perfbench(name):
+    """Load perfbench/<name>.py by path, read-only, as a private module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(REPO, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 VERIFY_TEXT = """\
 # randomized suites, kept small for test speed
@@ -115,6 +134,16 @@ class TestParseConfig:
             parse_config("experiment = verify_random\n%s = %s\n"
                          % (key, value))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_keyword_numbers_must_be_finite(self, key, value):
+        # library callers bypass the parser; tol = inf would make every
+        # tol-thresholded check a vacuous PASS
+        with pytest.raises(ValueError, match="^%s must be a finite number"
+                           % key):
+            ExperimentConfig(experiment="ionorm", fixture="feedthrough",
+                             nsteps=8, **{key: value})
+
 
 class TestKeyTable:
     def readme_table(self):
@@ -139,16 +168,21 @@ class TestKeyTable:
     def test_tracer_wraps_every_public_binding(self):
         # the benchmark's tracer sees only module attributes; a public
         # function kept in a dispatch table would escape it
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracer", os.path.join(REPO, "perfbench", "tracer.py"))
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        traced = tracer.Tracer()
+        traced = load_perfbench("tracer").Tracer()
         traced.install()
         try:
             assert traced.uncovered() == []
         finally:
             traced.uninstall()
+
+    def test_benchmark_traced_names_exist(self, monkeypatch):
+        # `run.py --trace 1` looks these names up in Tracer().stats, so a
+        # rename in src/ would end the traced run with a KeyError
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        run = load_perfbench("run")
+        stats = load_perfbench("tracer").Tracer().stats
+        names = run.LAYER_FUNCS + run.COUNTED_FUNCS
+        assert [name for name in names if name not in stats] == []
 
 
 class TestRunVerify:
@@ -228,6 +262,52 @@ class TestRunSimulate:
     def test_wrong_experiment(self):
         with pytest.raises(ValueError):
             self.simulate("experiment = ionorm\n")
+
+    @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
+    def test_setup_is_float64(self, experiment):
+        # every PDE generator is real, so it steps in float64
+        generator, gram, x0 = _simulate_setup(
+            ExperimentConfig(experiment=experiment, n=8))
+        assert (generator.dtype, gram.matrix.dtype, x0.dtype) == \
+            (np.float64,) * 3
+
+    @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
+    @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
+    def test_complex_path_is_the_oracle(self, monkeypatch, experiment,
+                                        stepper):
+        # the same generator cast to complex128 runs the complex path; the
+        # float64 run must agree with it
+        text = "experiment = %s\nn = 16\nstepper = %s\n" % (experiment,
+                                                             stepper)
+        runs = []
+        real_simulate = semilab.cli.simulate_semigroup
+
+        def recording(*args):
+            runs.append(real_simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(semilab.cli, "simulate_semigroup", recording)
+        results = [self.simulate(text)]
+        real_setup = semilab.cli._simulate_setup
+
+        def complex_setup(config):
+            generator, gram, x0 = real_setup(config)
+            return generator.astype(np.complex128), gram, x0
+
+        monkeypatch.setattr(semilab.cli, "_simulate_setup", complex_setup)
+        results.append(self.simulate(text))
+        assert [run.x_samples.dtype for run in runs] == \
+            [np.float64, np.complex128]
+        (real_report, real_csv), (cplx_report, cplx_csv) = results
+        assert [(c.name, c.passed) for c in real_report.checks] == \
+            [(c.name, c.passed) for c in cplx_report.checks]
+        real_rows = [row.split(",") for row in real_csv.splitlines()[1:]]
+        cplx_rows = [row.split(",") for row in cplx_csv.splitlines()[1:]]
+        assert [row[2] for row in real_rows] == [row[2] for row in cplx_rows]
+        real_energy = np.array([float(row[1]) for row in real_rows])
+        cplx_energy = np.array([float(row[1]) for row in cplx_rows])
+        assert np.abs(real_energy - cplx_energy).max() <= \
+            1e-12 * real_energy[0]
 
     def test_csv_bytes_match_per_row_format(self, monkeypatch):
         dt = 0.1

@@ -29,9 +29,24 @@ from conftest import (
 
 
 class TestBasics:
-    def test_as_complex_matrix_coerces_scalars(self):
-        m = as_complex_matrix(2.0, "a")
-        assert m.shape == (1, 1) and m.dtype == complex
+    @pytest.mark.parametrize("dtype, expected", [
+        (np.float64, np.float64),
+        (np.int64, np.float64),
+        (np.bool_, np.float64),
+        (np.float32, np.float64),
+        (np.complex64, np.complex128),
+        (np.complex128, np.complex128),
+    ])
+    def test_as_complex_matrix_dtype_rule(self, dtype, expected):
+        # real data stays real; only complex input gives complex128
+        a = np.ones((2, 3), dtype=dtype)
+        m = as_complex_matrix(a, "a")
+        assert m.shape == (2, 3) and m.dtype == expected
+        assert (m == 1).all()
+        if dtype in (np.float64, np.complex128):
+            assert m is a
+        scalar = as_complex_matrix(dtype(1), "a")
+        assert scalar.shape == (1, 1) and scalar.dtype == expected
 
     def test_as_complex_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):

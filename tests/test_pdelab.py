@@ -231,3 +231,23 @@ class TestNeumannHeat:
         ext = neumann_heat_ext(grid, PdeCoefficients(grid))
         node = external_cayley(ext)
         assert node.is_passive()
+
+
+class TestRealBlocks:
+    def test_every_builder_returns_float64(self):
+        # every PDE operator is real, so no builder may promote to complex
+        grid = Grid1D(6)
+        coeffs = PdeCoefficients(grid, k_v=1.0, k_s=0.5, kappa=0.5)
+        arrays = list(grad_div_pair(grid))
+        arrays.append(energy_gram(grid, coeffs).matrix)
+        for ext in (wave_ext(grid), degenerate_ext(grid, coeffs),
+                    neumann_heat_ext(grid, coeffs)):
+            arrays += [ext.a11, ext.a12, ext.a21, ext.a22, ext.matrix]
+        for builder in (wave_viscous_ext, wave_structural_ext,
+                        wave_combined_ext):
+            ext, gram, s_op = builder(grid, coeffs)
+            arrays += [ext.a11, ext.a12, ext.a21, ext.a22, gram.matrix,
+                       s_op.matrix, internal_loop(ext, s_op).a_s]
+        arrays += [degenerate_as1(grid, coeffs),
+                   degenerate_loop_path(grid, coeffs)]
+        assert [a.dtype for a in arrays] == [np.float64] * len(arrays)

@@ -117,13 +117,17 @@ class TestSimulateSemigroup:
         return internal_loop(ext, s_v).a_s @ gram.matrix, gram, x0
 
     @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
-    def test_real_runs_step_in_float64(self, rng, stepper):
+    def test_step_dtype_follows_the_inputs(self, rng, stepper):
         a, gram, x0 = self.viscous_fixture()
-        # the generator is complex128 with zero imaginary part
-        assert a.dtype == np.complex128 and not a.imag.any()
+        assert a.dtype == np.float64
         complex_a = random_dissipative(rng, a.shape[0])
+        # a zero imaginary part is not undone: complex input steps complex
+        zero_imag = a.astype(np.complex128)
+        int_start = np.ones(x0.shape, dtype=int)
         for gen, start, dtype in ((a, x0, np.float64),
+                                  (a, int_start, np.float64),
                                   (a, x0 * (1.0 + 1.0j), np.complex128),
+                                  (zero_imag, x0, np.complex128),
                                   (complex_a, x0, np.complex128)):
             tr = simulate_semigroup(gen, gram, start, T=0.5, dt=0.1,
                                     stepper=stepper)
