@@ -68,6 +68,9 @@ STEPPERS = ("expm", "crank_nicolson")
 
 # energy may not exceed its start by more than this in any simulate CSV row
 ENERGY_BOUND_TOL = 1e-6
+# most steps (T/dt) one simulate run may take; its time and the memory of
+# its times, energies and CSV grow linearly in the steps
+MAX_SIMULATE_STEPS = 10 ** 6
 
 Check = namedtuple("Check", ["name", "measured", "threshold", "passed"])
 Check.__doc__ = """One named check: measured value vs threshold."""
@@ -454,9 +457,14 @@ def run_simulate(config):
     """Simulate the configured PDE and return (report, CSV text).
 
     CSV columns are t, energy, norm_bound_ok; norm_bound_ok flags rows
-    whose energy stays within (1 + 1e-6) of the start.
+    whose energy stays within (1 + 1e-6) of the start.  A config asking
+    for more than MAX_SIMULATE_STEPS steps is refused before any setup.
     """
     _require_command(config, "simulate")
+    # T/dt rounds above the budget; an overflowing ratio is refused too
+    if config.T / config.dt > MAX_SIMULATE_STEPS + 0.5:
+        raise ValueError("T / dt must be at most %d steps, got T = %r, "
+                         "dt = %r" % (MAX_SIMULATE_STEPS, config.T, config.dt))
     start = time.perf_counter()
     generator, gram, x0 = _simulate_setup(config)
     traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,

@@ -3,7 +3,8 @@ norms.
 
 Stepping is either the exact matrix exponential or the Crank-Nicolson
 rational approximation; both map dissipative generators to contraction
-steps, so energy ledgers certify rather than approximate.
+steps, so energy ledgers certify rather than approximate.  A simulation
+keeps the ledger, not the states.
 
 The input/output map on a horizon T is estimated by projecting inputs
 onto piecewise constants and outputs onto per-step averages, which gives
@@ -32,8 +33,8 @@ __all__ = [
 _GKL_RTOL = 1e-5
 _GKL_CHECK_EVERY = 4
 _GKL_MAX_STEPS = 512
-# trajectory rows per energy-ledger product: the temporaries stay a few
-# MB instead of a second trajectory-sized array
+# states per step-and-ledger block: the one state buffer and the ledger
+# temporaries stay a few MB whatever the number of steps
 _LEDGER_BLOCK = 4096
 
 
@@ -54,25 +55,21 @@ def cn_step(a, dt):
 
 
 class Trajectory(object):
-    """Sampled semigroup trajectory with its energy ledger.
+    """Energy ledger of a sampled semigroup trajectory.
 
-    times, x_samples and energy share one length, nsamples.  x_samples
-    has the dtype numpy promotes the one-step matrix and the start to
-    (float64 for a real generator and start).  energy holds the squared
-    state norm (weighted when a Gram was supplied).
+    times and energy share one length, nsamples.  energy holds the
+    squared state norm (weighted when a Gram was supplied); the states
+    themselves are not kept.
     """
 
-    def __init__(self, dt, times, x_samples, energy):
+    def __init__(self, dt, times, energy):
         self.dt = float(dt)
         self.times = np.asarray(times, dtype=float)
-        self.x_samples = np.asarray(x_samples)
         self.energy = np.asarray(energy, dtype=float)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        n = self.times.shape[0]
-        for arr in (self.x_samples, self.energy):
-            if arr.shape[0] != n:
-                raise ValueError("sample arrays must share length %d" % n)
+        if self.energy.shape != self.times.shape:
+            raise ValueError("times and energy must share one length")
         if (self.energy < -1e-15).any():
             raise ValueError("energy entries must be nonnegative")
 
@@ -100,6 +97,9 @@ step cap stopped the run.
 def _steps_of(T, dt):
     T = float(T)
     dt = float(dt)
+    for name, value in (("T", T), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)
     if T < dt:
@@ -117,10 +117,10 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     stepper is "expm" (exact) or "crank_nicolson"; the one-step matrix is
     built once and reused, so dt must divide T.  The steps run in the
     dtype numpy promotes the one-step matrix and x0 to: float64 for a
-    real generator and start, complex128 otherwise.  The energy column
-    is computed after the loop, in blocks of _LEDGER_BLOCK rows.
-    For A dissipative in the supplied inner product it is nonincreasing
-    up to roundoff.
+    real generator and start, complex128 otherwise.  Each block of
+    _LEDGER_BLOCK states is reduced to its energies before the next one
+    overwrites it; the states are not kept.  For A dissipative in the
+    supplied inner product the energy is nonincreasing up to roundoff.
     """
     m = as_complex_matrix(a, "A")
     if x0 is None:
@@ -129,6 +129,8 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     if x.shape[0] != m.shape[0]:
         raise ValueError("x0 has dimension %d, expected %d"
                          % (x.shape[0], m.shape[0]))
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     if gram is not None and not isinstance(gram, Gram):
         gram = Gram(gram)
     nsteps = _steps_of(T, dt)
@@ -142,19 +144,20 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     step = step.astype(np.result_type(step, x), copy=False)
 
     times = float(dt) * np.arange(nsteps + 1)
-    xs = np.empty((nsteps + 1, x.shape[0]), dtype=step.dtype)
-    xs[0] = x
-    for k in range(nsteps):
-        np.matmul(step, xs[k], out=xs[k + 1])
     energy = np.empty(nsteps + 1)
+    block = np.empty((min(_LEDGER_BLOCK, nsteps + 1),) + x.shape, step.dtype)
+    block[0] = x
     for start in range(0, nsteps + 1, _LEDGER_BLOCK):
-        stop = start + _LEDGER_BLOCK
-        rows = xs[start:stop]
+        stop = min(start + _LEDGER_BLOCK, nsteps + 1)
+        rows = block[:stop - start]
+        # row -1 holds the last state of the full block before: the carry
+        for k in range(1 if start == 0 else 0, stop - start):
+            np.matmul(step, block[k - 1], out=block[k])
         if gram is None:
             energy[start:stop] = np.einsum("ij,ij->i", rows.conj(), rows).real
         else:
             energy[start:stop] = gram.squared_norms(rows)
-    return Trajectory(dt, times, xs, energy)
+    return Trajectory(dt, times, energy)
 
 
 def _quadrature_matrices(a, b, dt):

@@ -44,3 +44,22 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counted)
     return calls
+
+
+@pytest.fixture
+def step_out_dtypes(monkeypatch):
+    """Dtype of the ``out`` buffer of every ``np.matmul(..., out=...)`` call.
+
+    In the package only the simulate step loop writes matmul products
+    into a buffer, so this records the dtype the steps run in.
+    """
+    dtypes = []
+    matmul = np.matmul
+
+    def spied(*args, **kwargs):
+        if kwargs.get("out") is not None:
+            dtypes.append(kwargs["out"].dtype)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spied)
+    return dtypes

@@ -273,20 +273,12 @@ class TestRunSimulate:
 
     @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
     @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
-    def test_complex_path_is_the_oracle(self, monkeypatch, experiment,
-                                        stepper):
+    def test_complex_path_is_the_oracle(self, monkeypatch, step_out_dtypes,
+                                        experiment, stepper):
         # the same generator cast to complex128 runs the complex path; the
         # float64 run must agree with it
         text = "experiment = %s\nn = 16\nstepper = %s\n" % (experiment,
                                                              stepper)
-        runs = []
-        real_simulate = semilab.cli.simulate_semigroup
-
-        def recording(*args):
-            runs.append(real_simulate(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(semilab.cli, "simulate_semigroup", recording)
         results = [self.simulate(text)]
         real_setup = semilab.cli._simulate_setup
 
@@ -296,8 +288,8 @@ class TestRunSimulate:
 
         monkeypatch.setattr(semilab.cli, "_simulate_setup", complex_setup)
         results.append(self.simulate(text))
-        assert [run.x_samples.dtype for run in runs] == \
-            [np.float64, np.complex128]
+        # T = 1 and dt = 0.01: 100 steps a run
+        assert step_out_dtypes == [np.float64] * 100 + [np.complex128] * 100
         (real_report, real_csv), (cplx_report, cplx_csv) = results
         assert [(c.name, c.passed) for c in real_report.checks] == \
             [(c.name, c.passed) for c in cplx_report.checks]
@@ -314,7 +306,7 @@ class TestRunSimulate:
         times = dt * np.arange(7)
         energy = np.array([1.0, 1.0 + 1e-6, np.nextafter(1.0 + 1e-6, 2.0),
                            0.1 + 0.2, 1e-300, 0.0, 2.0 / 3.0])
-        traj = Trajectory(dt, times, np.zeros((7, 2)), energy)
+        traj = Trajectory(dt, times, energy)
         monkeypatch.setattr(semilab.cli, "simulate_semigroup",
                             lambda *args: traj)
         _, csv_text = self.simulate("experiment = viscous\nn = 4\n")
@@ -462,6 +454,46 @@ class TestMain:
             tmp_path, "experiment = viscous\nn = 8\nT = 1\ndt = 0.01\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == []
+
+    @pytest.mark.parametrize("T, rc", [("1", 0), ("1.01", 2)])
+    def test_simulate_step_budget(self, tmp_path, capsys, monkeypatch, T,
+                                  rc):
+        monkeypatch.setattr(semilab.cli, "MAX_SIMULATE_STEPS", 100)
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 4\nT = %s\ndt = 0.01\n" % T)
+        out = tmp_path / "o"
+        assert main(["simulate", cfg, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err.startswith("wall time: ")
+            csv_lines = (out / "simulate.csv").read_text(
+                encoding="utf-8").splitlines()
+            assert len(csv_lines) == 1 + 101
+        else:
+            assert err == ("error: T / dt must be at most 100 steps, "
+                           "got T = 1.01, dt = 0.01\n")
+            assert not out.exists()
+
+    def test_huge_simulate_refused_before_setup(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 10^9 steps: refused up front, so the setup must never run
+        def no_setup(config):
+            pytest.fail("setup ran for a config over the step budget")
+
+        monkeypatch.setattr(semilab.cli, "_simulate_setup", no_setup)
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 8\nT = 1000000\ndt = 0.001\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "T = 1000000.0, dt = 0.001" in err
+
+    def test_ionorm_takes_a_long_horizon(self, tmp_path):
+        # ionorm does not step with dt, so the simulate budget leaves it be
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = integrator\n"
+                      "nsteps = 16\nT = 1e6\n")
+        assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, command):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,11 +66,11 @@ class TestCnStep:
 class TestTrajectoryContainer:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            Trajectory(0.1, [0.0, 0.1], np.zeros((3, 2)), [0.0, 0.0])
+            Trajectory(0.1, [0.0, 0.1], [0.0, 0.0, 0.0])
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(0.1, [0.0, 0.1], np.zeros((2, 2)), [1.0, -1.0])
+            Trajectory(0.1, [0.0, 0.1], [1.0, -1.0])
 
 
 class TestSimulateSemigroup:
@@ -117,7 +119,8 @@ class TestSimulateSemigroup:
         return internal_loop(ext, s_v).a_s @ gram.matrix, gram, x0
 
     @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
-    def test_step_dtype_follows_the_inputs(self, rng, stepper):
+    def test_step_dtype_follows_the_inputs(self, rng, step_out_dtypes,
+                                           stepper):
         a, gram, x0 = self.viscous_fixture()
         assert a.dtype == np.float64
         complex_a = random_dissipative(rng, a.shape[0])
@@ -129,12 +132,14 @@ class TestSimulateSemigroup:
                                   (a, x0 * (1.0 + 1.0j), np.complex128),
                                   (zero_imag, x0, np.complex128),
                                   (complex_a, x0, np.complex128)):
-            tr = simulate_semigroup(gen, gram, start, T=0.5, dt=0.1,
-                                    stepper=stepper)
-            assert tr.x_samples.dtype == dtype
+            del step_out_dtypes[:]
+            simulate_semigroup(gen, gram, start, T=0.5, dt=0.1,
+                               stepper=stepper)
+            assert step_out_dtypes == [dtype] * 5
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_real_energy_matches_complex_path(self, weighted):
+    def test_real_energy_matches_complex_path(self, step_out_dtypes,
+                                              weighted):
         # x0 and e^{i pi/4} x0 have the same trajectory energies; the
         # second start runs the complex128 path
         a, gram, x0 = self.viscous_fixture()
@@ -143,24 +148,57 @@ class TestSimulateSemigroup:
                                   stepper="crank_nicolson")
         cplx = simulate_semigroup(a, gram, x0 * np.exp(0.25j * np.pi),
                                   T=2.0, dt=0.05, stepper="crank_nicolson")
-        assert cplx.x_samples.dtype == np.complex128
+        assert step_out_dtypes == [np.float64] * 40 + [np.complex128] * 40
         e0 = real.energy[0]
         assert np.abs(real.energy - cplx.energy).max() <= 1e-13 * e0
-        assert np.allclose(cplx.x_samples * np.exp(-0.25j * np.pi),
-                           real.x_samples, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nsamples", [simkit._LEDGER_BLOCK - 1,
                                           simkit._LEDGER_BLOCK,
-                                          simkit._LEDGER_BLOCK + 1])
+                                          simkit._LEDGER_BLOCK + 1,
+                                          2 * simkit._LEDGER_BLOCK + 1])
     def test_ledger_blocks_match_per_step_norms(self, nsamples):
         a, gram, x0 = self.viscous_fixture(4)
         dt = 1e-3
         tr = simulate_semigroup(a, gram, x0, T=(nsamples - 1) * dt, dt=dt,
                                 stepper="crank_nicolson")
         assert tr.nsamples == nsamples
-        oracle = np.array([gram.weighted_vector_norm(x) ** 2
-                           for x in tr.x_samples])
-        assert (np.abs(tr.energy - oracle) <= 1e-13 * oracle).all()
+        # oracle: one step and one weighted norm at a time, x_{k+1} = step x_k
+        step = cn_step(a, dt)
+        x = x0
+        oracle = []
+        for _ in range(nsamples):
+            oracle.append(gram.weighted_vector_norm(x) ** 2)
+            x = step @ x
+        assert (np.abs(tr.energy - oracle) <= 1e-13 * np.array(oracle)).all()
+
+    def test_memory_does_not_grow_with_the_states(self):
+        # 4 more blocks of steps at dim 64 may add the times and the
+        # energies (16 B a step), not the states (512 B a step)
+        a = -0.01 * np.eye(64)
+        x0 = np.ones(64)
+        dt = 1e-3
+        peaks = []
+        for nblocks in (4, 8):
+            tracemalloc.start()
+            simulate_semigroup(a, x0=x0, T=nblocks * simkit._LEDGER_BLOCK * dt,
+                               dt=dt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        added_steps = 4 * simkit._LEDGER_BLOCK
+        assert peaks[1] - peaks[0] <= 24 * added_steps
+
+    @pytest.mark.parametrize("x0", [[np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_start_refused(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate_semigroup(-np.eye(2), x0=x0, T=1.0, dt=0.5)
+
+    @pytest.mark.parametrize("T, dt, name", [
+        (np.inf, 1.0, "T"), (np.nan, 1.0, "T"),
+        (1.0, np.inf, "dt"), (1.0, np.nan, "dt")])
+    def test_non_finite_horizon_or_step_refused(self, T, dt, name):
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            simulate_semigroup(-np.eye(2), x0=[1.0, 0.0], T=T, dt=dt)
 
     def test_dt_must_divide(self):
         with pytest.raises(ValueError):
