@@ -4,14 +4,23 @@ K = (S - I)(S + I)^{-1} maps (maximal, here: bounded matrix) accretive
 operators S to contractions K, with inverse S = (I + K)(I - K)^{-1}, and
 comes with quantitative bounds relating the accretivity lower bound of S
 to the contraction defect of K.  Only bounded S is represented: in finite
-dimensions every accretive matrix is maximal accretive.
+dimensions every accretive matrix is maximal accretive.  Every class and
+function here takes one matrix or a stack (..., n, n) alike; a stack
+gives one delta, norm or bound per member.
 """
 
-import math
+from functools import cached_property
 
 import numpy as np
 
-from .numkernel import SvdFactor, _square, herm_part, op_norm
+from .numkernel import (
+    SvdFactor,
+    _per_member,
+    _refuse,
+    _square,
+    herm_part,
+    op_norm,
+)
 
 __all__ = [
     "AccretiveOperator",
@@ -29,22 +38,31 @@ class AccretiveOperator(object):
 
     delta is computed at construction as the smallest eigenvalue of the
     Hermitian part (clamped at zero within a roundoff tolerance whose
-    2-norm is computed only for a negative eigenvalue), not
+    2-norm is computed only when an eigenvalue is negative), not
     user-supplied, so the cached bound cannot disagree with the matrix.
     """
 
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
-        lam = float(np.linalg.eigvalsh(herm_part(m)).min())
-        if lam < 0.0 and lam < -1e-12 * (1.0 + op_norm(m)):
-            raise ValueError(
-                "matrix is not accretive: min Hermitian eigenvalue %g" % lam)
+        # eigvalsh sorts ascending, so the first eigenvalue is the smallest
+        lam = np.linalg.eigvalsh(herm_part(m))[..., 0]
+        negative = lam < 0.0
+        if negative.any():
+            _refuse(negative & (lam < -1e-12 * (1.0 + op_norm(m))),
+                    "matrix is not accretive: min Hermitian eigenvalue %g",
+                    lam)
         self.matrix = m
-        self.delta = max(lam, 0.0)
+        self.delta = _per_member(np.maximum(lam, 0.0), m)
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    @cached_property
+    def _plus_identity(self):
+        """S + I, factored once for the transform and the strict bound."""
+        m = self.matrix
+        return SvdFactor(m + np.eye(self.dim, dtype=m.dtype), "S + I")
 
 
 class ContractionOperator(object):
@@ -53,14 +71,20 @@ class ContractionOperator(object):
     def __init__(self, matrix):
         m = _square(matrix, "contraction operator")
         nrm = op_norm(m)
-        if nrm > 1.0 + 1e-12:
-            raise ValueError("matrix is not a contraction: norm %.17g" % nrm)
+        _refuse(nrm > 1.0 + 1e-12, "matrix is not a contraction: norm %.17g",
+                nrm)
         self.matrix = m
         self.norm = nrm
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    @cached_property
+    def _defect(self):
+        """I - K, factored once for the inverse transform and its bound."""
+        m = self.matrix
+        return SvdFactor(np.eye(self.dim, dtype=m.dtype) - m, "I - K")
 
 
 def cayley_of_accretive(s):
@@ -74,7 +98,7 @@ def cayley_of_accretive(s):
         s = AccretiveOperator(s)
     m = s.matrix
     ident = np.eye(s.dim, dtype=m.dtype)
-    return ContractionOperator(SvdFactor(m + ident, "S + I").rsolve(m - ident))
+    return ContractionOperator(s._plus_identity.rsolve(m - ident))
 
 
 def accretive_of_contraction(k):
@@ -88,7 +112,7 @@ def accretive_of_contraction(k):
         k = ContractionOperator(k)
     m = k.matrix
     ident = np.eye(k.dim, dtype=m.dtype)
-    return AccretiveOperator(SvdFactor(ident - m, "I - K").rsolve(ident + m))
+    return AccretiveOperator(k._defect.rsolve(ident + m))
 
 
 def strict_contraction_bound(s):
@@ -99,27 +123,25 @@ def strict_contraction_bound(s):
     """
     if not isinstance(s, AccretiveOperator):
         s = AccretiveOperator(s)
-    if s.delta <= 0.0:
-        raise ValueError("delta = 0: the strict contraction bound degenerates to 1")
-    denom = op_norm(s.matrix + np.eye(s.dim, dtype=s.matrix.dtype)) ** 2
-    return math.sqrt(max(1.0 - 4.0 * s.delta / denom, 0.0))
+    _refuse(s.delta <= 0.0,
+            "delta = 0: the strict contraction bound degenerates to 1")
+    denom = s._plus_identity.sv[..., 0] ** 2
+    return _per_member(np.sqrt(np.maximum(1.0 - 4.0 * s.delta / denom, 0.0)),
+                       s.matrix)
 
 
 def accretivity_lower_bound(k):
     """Accretivity bound delta = (1 - ||K||^2) / ||I - K||^2 of the inverse transform."""
     if not isinstance(k, ContractionOperator):
         k = ContractionOperator(k)
-    ident = np.eye(k.dim, dtype=k.matrix.dtype)
-    defect = SvdFactor(ident - k.matrix, "I - K")
-    if defect.singular:
-        raise ValueError("I - K is singular to working precision")
-    return (1.0 - k.norm ** 2) / float(defect.sv[0]) ** 2
+    defect = k._defect
+    _refuse(defect.singular, "I - K is singular to working precision")
+    return _per_member((1.0 - k.norm ** 2) / defect.sv[..., 0] ** 2, k.matrix)
 
 
 def s_norm_bound(k):
     """Norm bound (1 + ||K||) / (1 - ||K||) on the reconstructed S."""
     if not isinstance(k, ContractionOperator):
         k = ContractionOperator(k)
-    if k.norm >= 1.0:
-        raise ValueError("||K|| >= 1: the norm bound is undefined")
-    return (1.0 + k.norm) / (1.0 - k.norm)
+    _refuse(k.norm >= 1.0, "||K|| >= 1: the norm bound is undefined")
+    return _per_member((1.0 + k.norm) / (1.0 - k.norm), k.matrix)

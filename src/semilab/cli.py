@@ -14,6 +14,7 @@ unexpected error (one stderr line, no traceback).
 
 import argparse
 import math
+import numbers
 import os
 import sys
 import time
@@ -71,6 +72,9 @@ ENERGY_BOUND_TOL = 1e-6
 # most steps (T/dt) one simulate run may take; its time and the memory of
 # its times, energies and CSV grow linearly in the steps
 MAX_SIMULATE_STEPS = 10 ** 6
+# verify cases drawn and checked together: a block's matrices are all the
+# suites hold at once, so memory does not grow with `cases`
+_VERIFY_BLOCK = 256
 
 Check = namedtuple("Check", ["name", "measured", "threshold", "passed"])
 Check.__doc__ = """One named check: measured value vs threshold."""
@@ -156,11 +160,20 @@ _TYPES = {key: kind for key, kind, _, _ in _KEYS}
 _ECHO_KEYS = tuple(sorted(key for key in _TYPES if key != "out"))
 
 
+# key type -> (the types its values may have, how messages name it); a
+# bool is an Integral, so number keys refuse it separately
+_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "a string")}
+
+
 class ExperimentConfig(object):
     """Validated flat configuration for one experiment run.
 
     Takes the config keys as keyword arguments; `_KEYS` gives each key's
-    type, default and range, and `experiment` is required.  The stepper
+    type, default and range, and `experiment` is required.  A value of
+    the wrong type is refused, not coerced: a bool key takes a bool, an
+    int key an integer that is not a bool, a float key any real number
+    that is not a bool, and a str key a str.  The stepper
     defaults to the exact exponential for the undamped wave and
     Crank-Nicolson otherwise.  Coefficient profiles are strings
     `constant:<v>`, `linear:<a>,<b>` (a + b xi) or `power:<e>` (xi^e),
@@ -178,6 +191,11 @@ class ExperimentConfig(object):
                                  else "crank_nicolson")
         for key, kind, default, rule in _KEYS:
             value = values.get(key, default)
+            accepted, phrase = _KINDS[kind]
+            if not isinstance(value, accepted) or (
+                    kind is not bool and isinstance(value, bool)):
+                raise ValueError("%s must be %s, got %r"
+                                 % (key, phrase, value))
             if kind is float and not math.isfinite(value):
                 raise ValueError("%s must be a finite number, got %r"
                                  % (key, value))
@@ -207,12 +225,13 @@ def _parse_value(key, kind, text):
             return True
         if lowered in ("false", "no", "0"):
             return False
-        raise ValueError("%s expects true or false, got %r" % (key, text))
+        raise ValueError("%s expects %s, got %r"
+                         % (key, _KINDS[kind][1], text))
     try:
         value = kind(text)
     except ValueError:
-        raise ValueError("%s expects %s, got %r" % (
-            key, "an integer" if kind is int else "a number", text))
+        raise ValueError("%s expects %s, got %r"
+                         % (key, _KINDS[kind][1], text))
     if not math.isfinite(value):
         raise ValueError("%s expects a finite number, got %r" % (key, text))
     return value
@@ -317,22 +336,27 @@ def _random_matrix(rng, n):
     return (real + 1j * imag) / np.sqrt(2.0 * n)
 
 
-def _random_accretive(rng, n, floor):
-    m = _random_matrix(rng, n)
-    herm = (m + m.conj().T) / 2.0
-    shift = floor - np.linalg.eigvalsh(herm).min()
-    return m + shift * np.eye(n)
+def _shifted(m, shift):
+    """m + shift I, one shift per member of a stack."""
+    return m + np.asarray(shift)[..., None, None] * np.eye(m.shape[-1])
 
 
-def _random_dissipative(rng, n, gap=0.1):
-    m = _random_matrix(rng, n)
-    return m - (dissipativity_margin(m) + gap) * np.eye(n)
+def _accretive(m, floor):
+    """Shift m so the smallest eigenvalue of its Hermitian part is floor."""
+    herm = (m + m.conj().mT) / 2.0
+    return _shifted(m, floor - np.linalg.eigvalsh(herm)[..., 0])
 
 
-def _random_dissipative_ext(rng, n1, n2, gap=0.1):
-    m = _random_dissipative(rng, n1 + n2, gap)
-    return ExtendedOperator(m[:n1, :n1], m[:n1, n1:],
-                            m[n1:, :n1], m[n1:, n1:])
+def _dissipative(m, gap=0.1):
+    """Shift m so its dissipativity margin is -gap."""
+    return _shifted(m, -(dissipativity_margin(m) + gap))
+
+
+def _dissipative_ext(m, n1, gap=0.1):
+    """The dissipative shift of m, split after row and column n1."""
+    m = _dissipative(m, gap)
+    return ExtendedOperator(m[..., :n1, :n1], m[..., :n1, n1:],
+                            m[..., n1:, :n1], m[..., n1:, n1:])
 
 
 def _require_command(config, command):
@@ -349,51 +373,80 @@ def _check(name, measured, threshold):
     return Check(name, measured, float(threshold), measured <= threshold)
 
 
+def _dimension_groups(rng, config, draw):
+    """The suite's random cases, a block at a time, grouped by dimension.
+
+    ``draw(rng, config)`` makes one case's draws and returns (dimension
+    key, matrices).  Each block of up to _VERIFY_BLOCK cases is drawn in case
+    order before anything is computed from it, so the generator stream is
+    that of one case after another; the block is then yielded as one
+    (key, stacked matrices) pair per dimension key, in key order.
+    """
+    for first in range(0, config.cases, _VERIFY_BLOCK):
+        groups = {}
+        for _ in range(min(_VERIFY_BLOCK, config.cases - first)):
+            key, matrices = draw(rng, config)
+            groups.setdefault(key, []).append(matrices)
+        for key in sorted(groups):
+            yield key, [np.stack(column) for column in zip(*groups.pop(key))]
+
+
+def _draw_square(rng, config):
+    n = int(rng.integers(1, config.max_dim + 1))
+    return n, (_random_matrix(rng, n),)
+
+
+def _draw_ext(rng, config):
+    n1 = int(rng.integers(1, config.max_dim + 1))
+    n2 = int(rng.integers(1, config.max_dim + 1))
+    return (n1, n2), (_random_matrix(rng, n1 + n2),)
+
+
+def _draw_ext_and_s(rng, config):
+    (n1, n2), (m,) = _draw_ext(rng, config)
+    return (n1, n2), (m, _random_matrix(rng, n2))
+
+
 def _check_cayley_bounds(rng, config):
     worst = -np.inf
-    for _ in range(config.cases):
-        n = int(rng.integers(1, config.max_dim + 1))
-        s = AccretiveOperator(_random_accretive(rng, n, config.delta_floor))
+    for _, (m,) in _dimension_groups(rng, config, _draw_square):
+        s = AccretiveOperator(_accretive(m, config.delta_floor))
         k = cayley_of_accretive(s)
-        worst = max(worst, k.norm - strict_contraction_bound(s))
         s_back = accretive_of_contraction(k)
-        worst = max(worst, accretivity_lower_bound(k) - s_back.delta)
-        worst = max(worst, op_norm(s.matrix) - s_norm_bound(k))
+        worst = max(worst, np.max(k.norm - strict_contraction_bound(s)),
+                    np.max(accretivity_lower_bound(k) - s_back.delta),
+                    np.max(op_norm(s.matrix) - s_norm_bound(k)))
     return _check("cayley_bounds", worst, config.tol)
 
 
 def _check_cayley_roundtrip(rng, config):
     worst = 0.0
-    for _ in range(config.cases):
-        n = int(rng.integers(1, config.max_dim + 1))
-        s = AccretiveOperator(_random_accretive(rng, n, config.delta_floor))
+    for _, (m,) in _dimension_groups(rng, config, _draw_square):
+        s = AccretiveOperator(_accretive(m, config.delta_floor))
         s_back = accretive_of_contraction(cayley_of_accretive(s))
         err = op_norm(s_back.matrix - s.matrix) / (1.0 + op_norm(s.matrix))
-        worst = max(worst, err)
+        worst = max(worst, np.max(err))
     return _check("cayley_roundtrip", worst, config.tol)
 
 
 def _check_contraction_margins(rng, config):
     worst = -np.inf
-    for _ in range(config.cases):
-        n = int(rng.integers(1, config.max_dim + 1))
-        a = _random_dissipative(rng, n)
-        report = contraction_certificate(a)
-        worst = max(worst, max(report.norms) - 1.0)
+    for _, (m,) in _dimension_groups(rng, config, _draw_square):
+        report = contraction_certificate(_dissipative(m))
+        worst = max(worst, np.max(report.norms) - 1.0)
     return _check("contraction_margins", worst, config.tol)
 
 
 def _check_loop_vs_feedback(rng, config):
     worst = 0.0
-    for _ in range(config.cases):
-        n1 = int(rng.integers(1, config.max_dim + 1))
-        n2 = int(rng.integers(1, config.max_dim + 1))
-        ext = _random_dissipative_ext(rng, n1, n2)
-        s = AccretiveOperator(_random_accretive(rng, n2, config.delta_floor))
+    groups = _dimension_groups(rng, config, _draw_ext_and_s)
+    for (n1, _), (m, s_raw) in groups:
+        ext = _dissipative_ext(m, n1)
+        s = AccretiveOperator(_accretive(s_raw, config.delta_floor))
         a_f = a_s_via_feedback(ext, s)
         a_l = internal_loop(ext, s).a_s
         err = op_norm(a_f - a_l) / (1.0 + op_norm(a_l))
-        worst = max(worst, err)
+        worst = max(worst, np.max(err))
     return _check("loop_vs_feedback", worst, config.tol)
 
 
@@ -405,11 +458,9 @@ def _check_passivity_lmi(rng, config):
         node = external_cayley(ExtendedOperator(one, zero, zero, zero))
         return _check("passivity_lmi", passivity_check(node), config.tol)
     worst = -np.inf
-    for _ in range(config.cases):
-        n1 = int(rng.integers(1, config.max_dim + 1))
-        n2 = int(rng.integers(1, config.max_dim + 1))
-        node = external_cayley(_random_dissipative_ext(rng, n1, n2))
-        worst = max(worst, passivity_check(node))
+    for (n1, _), (m,) in _dimension_groups(rng, config, _draw_ext):
+        node = external_cayley(_dissipative_ext(m, n1))
+        worst = max(worst, np.max(passivity_check(node)))
     return _check("passivity_lmi", worst, config.tol)
 
 

@@ -8,7 +8,10 @@ it both ways and comparing is the package's main theorem check.
 
 Inadmissibility of a feedback and unsolvability of a loop are ordinary
 result states, not exceptions: the corrected diag(0, -i) fixture has an
-inadmissible K while its loop is perfectly solvable (A_S = 0).
+inadmissible K while its loop is perfectly solvable (A_S = 0).  Stacks
+of operators (..., n, n) go through the same code, but those result
+states belong to one matrix: a stack with a singular I - A22 S or
+I - K D raises a ValueError naming the first such member.
 """
 
 from collections import namedtuple
@@ -78,7 +81,7 @@ def internal_loop(ext, s):
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("internal_loop expects an ExtendedOperator")
     sm = _operator_matrix(s, "S")
-    if sm.shape != (ext.n2, ext.n2):
+    if sm.shape[-2:] != (ext.n2, ext.n2):
         raise ValueError("S has shape %s, loop channel has dimension %d"
                          % ((sm.shape,), ext.n2))
     if not ext.a22.any():
@@ -87,10 +90,11 @@ def internal_loop(ext, s):
         return InternalLoopResult(a_s, 1.0)
     w = SvdFactor(np.eye(ext.n2) - ext.a22 @ sm, "I - A22 S",
                   unit_anchor=True)
-    if not w.singular:
+    if np.ndim(w.cond) or not w.singular:
+        # a stack solves every member or names its first singular one
         return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ w.solve(ext.a21)),
                                   w.cond)
-    # rank-revealing split of the singular loop equation
+    # rank-revealing split of one singular loop equation
     u, sv, vh = w.u, w.sv, w.vh
     scale = sv[0] if len(sv) and sv[0] > 0.0 else 1.0
     rank = int(np.sum(sv > scale * ext.n2 * np.finfo(float).eps * 10))
@@ -128,15 +132,16 @@ def check_admissible(node, k):
     if not isinstance(node, SystemNode):
         raise TypeError("check_admissible expects a SystemNode")
     km = _operator_matrix(k, "K")
-    if km.shape != (node.ninputs, node.noutputs):
+    if km.shape[-2:] != (node.ninputs, node.noutputs):
         raise ValueError("K must be %s, got %s"
                          % ((node.ninputs, node.noutputs), km.shape))
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
     kd = SvdFactor(np.eye(node.ninputs) - km @ node.d, "I - K D",
                    unit_anchor=True)
-    if kd.singular:
+    if not np.ndim(kd.cond) and kd.singular:
         return FeedbackResult(False, None, kd.cond)
+    # a stack solves every member or names its first singular one
     x = kd.solve(km @ node.c)
     closed = SystemNode(node.a + node.b @ x, kd.rsolve(node.b),
                         node.c + node.d @ x, kd.rsolve(node.d))

@@ -8,6 +8,14 @@ plumbing: Hermitian parts, dissipativity margins (plain and
 Gram-weighted), operator norms, a matrix exponential, contraction
 certificates, and SVD solves.
 
+The primitives take one matrix or a stack of shape (..., n, n) through
+the same code: a stack gives one value per member (an array over the
+stack axes) where one matrix gives a Python scalar, and a validation
+error on a stack names the index of the first member that fails.  The
+randomized ``verify`` suites rely on this: they group their cases by
+dimension and make one stacked call per group, since numpy's per-call
+overhead, not arithmetic, is the cost of a tiny matrix.
+
 One singularity rule serves the whole package: a matrix is singular to
 working precision when the condition number from its singular values is
 not below COND_LIMIT, anchored at unit scale for the loop factors
@@ -42,29 +50,56 @@ COND_LIMIT = 1e12
 _KEPT_DTYPES = frozenset([np.dtype(np.float64), np.dtype(np.complex128)])
 
 
+def _refuse(bad, message, *values, kind=ValueError):
+    """Raise ``kind(message % values)`` for the first member where ``bad``.
+
+    ``bad`` and ``values`` hold one entry per member (scalars for one
+    matrix) and are read at that member; a stack prefixes the message
+    with the member's index, so one matrix keeps its plain message.
+    """
+    found = np.argwhere(bad)
+    if not len(found):
+        return
+    index = tuple(int(i) for i in found[0])
+    text = message % tuple(np.asarray(v)[index] for v in values)
+    if index:
+        text = "stack member %s: %s" % (
+            index[0] if len(index) == 1 else index, text)
+    raise kind(text)
+
+
+def _per_member(values, m):
+    """``values`` as a Python scalar when ``m`` is one matrix, else as is."""
+    return np.asarray(values).item() if m.ndim == 2 else values
+
+
 def as_complex_matrix(a, name="matrix"):
-    """Coerce ``a`` to a 2-D float64 or complex128 array with finite entries.
+    """Coerce ``a`` to a float64 or complex128 matrix (or stack of
+    matrices, shape (..., rows, cols)) with finite entries.
 
     float64 and complex128 pass through; any other dtype goes to its
     promotion with float64 (int and bool to float64, complex64 to
-    complex128), so real data stays real.  The name stays because the
-    benchmark in perfbench counts calls to this function by name.
+    complex128), so real data stays real.  A scalar becomes a 1x1
+    matrix.  The name stays because the benchmark in perfbench counts
+    calls to this function by name.
     """
     m = np.asarray(a)
     if m.dtype not in _KEPT_DTYPES:
         m = m.astype(np.result_type(m.dtype, np.float64))
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2:
-        raise ValueError("%s must be 2-D, got ndim=%d" % (name, m.ndim))
+    if m.ndim < 2:
+        raise ValueError("%s must be a matrix or a stack of matrices, "
+                         "got ndim=%d" % (name, m.ndim))
     if m.size and not np.isfinite(m).all():
-        raise ValueError("%s has non-finite entries" % name)
+        _refuse(~np.isfinite(m).all(axis=(-2, -1)),
+                "%s has non-finite entries" % name)
     return m
 
 
 def _square(a, name="matrix"):
     m = as_complex_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError("%s must be square, got shape %s" % (name, (m.shape,)))
     return m
 
@@ -72,35 +107,37 @@ def _square(a, name="matrix"):
 def herm_part(a):
     """Return the Hermitian part (A + A*)/2 of a square matrix."""
     m = _square(a)
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().mT) / 2.0
 
 
 def op_norm(a):
     """Largest singular value of ``a`` (0 for an empty matrix)."""
     m = as_complex_matrix(a)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+        return _per_member(np.zeros(m.shape[:-2]), m)
+    return _per_member(np.linalg.svd(m, compute_uv=False)[..., 0], m)
 
 
 def _condition_number(sv, unit_anchor=False):
-    """Condition number from descending singular values; inf when singular.
+    """Condition numbers from descending singular values; inf when singular.
 
     The plain ratio is sigma_max / sigma_min.  The unit-anchored ratio
     max(sigma_max, 1) / sigma_min measures a factor I - X against the
     unit scale of I, so a uniformly tiny factor counts as ill conditioned
-    (the plain ratio of a nonzero scalar is always 1).
+    (the plain ratio of a nonzero scalar is always 1).  Returns an array
+    over the stack axes of ``sv`` (0-d for one matrix).
     """
-    if len(sv) == 0 or sv[-1] == 0.0:
-        return np.inf
-    top = max(sv[0], 1.0) if unit_anchor else sv[0]
-    return float(top / sv[-1])
+    cond = np.full(sv.shape[:-1], np.inf)
+    if sv.shape[-1]:
+        top = np.maximum(sv[..., 0], 1.0) if unit_anchor else sv[..., 0]
+        low = sv[..., -1]
+        np.divide(top, low, out=cond, where=low != 0.0)
+    return cond
 
 
 def _require_regular(name, cond):
-    if not cond < COND_LIMIT:
-        raise ValueError("%s is singular to working precision (cond=%g)"
-                         % (name, cond))
+    _refuse(~(np.asarray(cond) < COND_LIMIT),
+            "%s is singular to working precision (cond=%%g)" % name, cond)
 
 
 class SvdFactor(object):
@@ -113,20 +150,24 @@ class SvdFactor(object):
     """
 
     def __init__(self, a, name="matrix", unit_anchor=False):
+        m = _square(a, name)
         self.name = name
-        self.u, self.sv, self.vh = np.linalg.svd(_square(a, name))
-        self.cond = _condition_number(self.sv, unit_anchor)
-        self.singular = not self.cond < COND_LIMIT
+        self.u, self.sv, self.vh = np.linalg.svd(m)
+        cond = _condition_number(self.sv, unit_anchor)
+        self.cond = _per_member(cond, m)
+        self.singular = _per_member(~(cond < COND_LIMIT), m)
 
     def solve(self, b):
         """The matrix x with ``a @ x = b``."""
         _require_regular(self.name, self.cond)
-        return self.vh.conj().T @ ((self.u.conj().T @ b) / self.sv[:, None])
+        return self.vh.conj().mT @ (
+            (self.u.conj().mT @ b) / self.sv[..., :, None])
 
     def rsolve(self, b):
         """The matrix x with ``x @ a = b``."""
         _require_regular(self.name, self.cond)
-        return ((b @ self.vh.conj().T) / self.sv) @ self.u.conj().T
+        return ((b @ self.vh.conj().mT) / self.sv[..., None, :]) \
+            @ self.u.conj().mT
 
 
 def svd_solve(a, b, name="matrix"):
@@ -140,12 +181,12 @@ def svd_solve(a, b, name="matrix"):
     """
     m = _square(a, name)
     rhs = as_complex_matrix(b, "right-hand side")
-    if rhs.shape[0] != m.shape[0]:
+    if rhs.shape[-2] != m.shape[-1]:
         raise ValueError("right-hand side has %d rows, expected %d"
-                         % (rhs.shape[0], m.shape[0]))
+                         % (rhs.shape[-2], m.shape[-1]))
     cond = _condition_number(np.linalg.svd(m, compute_uv=False))
     _require_regular(name, cond)
-    return np.linalg.solve(m, rhs), cond
+    return np.linalg.solve(m, rhs), _per_member(cond, m)
 
 
 class Gram(object):
@@ -180,12 +221,12 @@ class Gram(object):
         Equals the 2-norm of L* a L^{-*} where H = L L*.
         """
         m = _square(a)
-        if m.shape[0] != self.dim:
+        if m.shape[-1] != self.dim:
             raise ValueError("operator dimension %d does not match gram dimension %d"
-                             % (m.shape[0], self.dim))
+                             % (m.shape[-1], self.dim))
         l = self.cholesky
         # L^* a L^{-*}: right-solve against L^*, using (L^*)^T = conj(L)
-        right = np.linalg.solve(l.conj(), (l.conj().T @ m).T).T
+        right = np.linalg.solve(l.conj(), (l.conj().T @ m).mT).mT
         return op_norm(right)
 
     def squared_norms(self, rows):
@@ -213,21 +254,22 @@ def dissipativity_margin(a, gram=None):
     (HA + A*H, 2H), reduced through the Cholesky factor of H.
     """
     m = _square(a)
+    # eigvalsh sorts ascending, so the last eigenvalue is the largest
     if gram is None:
-        return float(np.linalg.eigvalsh(herm_part(m)).max())
+        return _per_member(np.linalg.eigvalsh(herm_part(m))[..., -1], m)
     if not isinstance(gram, Gram):
         gram = Gram(gram)
-    if gram.dim != m.shape[0]:
+    if gram.dim != m.shape[-1]:
         raise ValueError("gram dimension %d does not match operator dimension %d"
-                         % (gram.dim, m.shape[0]))
+                         % (gram.dim, m.shape[-1]))
     l = gram.cholesky
     w = gram.matrix @ m
-    w = w + w.conj().T
+    w = w + w.conj().mT
     # L^{-1} (HA + A*H) L^{-*}
     y = np.linalg.solve(l, w)
-    y = np.linalg.solve(l, y.conj().T).conj().T
-    y = (y + y.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(y).max() / 2.0)
+    y = np.linalg.solve(l, y.conj().mT).conj().mT
+    y = (y + y.conj().mT) / 2.0
+    return _per_member(np.linalg.eigvalsh(y)[..., -1] / 2.0, m)
 
 
 # Diagonal Pade approximant of order (6, 6); coefficients of the numerator
@@ -246,6 +288,7 @@ def expm(a, t=1.0):
     1-norm of the scaled matrix is at most 0.5, then repeated squaring.
     Relative accuracy is ~1e-11 or better for ||At|| up to about 100;
     beyond that the result degrades gracefully and overflow raises.
+    Each member of a stack gets its own number of squarings.
 
     Parameters
     ----------
@@ -257,16 +300,17 @@ def expm(a, t=1.0):
     if not (t >= 0.0) or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative, got %r" % t)
     m = m * t
-    n = m.shape[0]
+    n = m.shape[-1]
     if n == 0:
         return m.copy()
-    nrm = float(np.linalg.norm(m, 1))
-    if not math.isfinite(nrm):
-        raise OverflowError("||At|| overflowed")
-    squarings = 0
-    if nrm > _EXPM_THETA:
-        squarings = int(math.ceil(math.log2(nrm / _EXPM_THETA)))
-        m = m / (2.0 ** squarings)
+    # the 1-norm (largest column sum) of each member
+    nrm = np.abs(m).sum(axis=-2).max(axis=-1)
+    _refuse(~np.isfinite(nrm), "||At|| overflowed", kind=OverflowError)
+    squarings = np.array(
+        [math.ceil(math.log2(v / _EXPM_THETA)) if v > _EXPM_THETA else 0
+         for v in nrm.ravel().tolist()], dtype=int).reshape(nrm.shape)
+    if squarings.any():
+        m = m / np.ldexp(1.0, squarings)[..., None, None]
 
     b = _PADE6
     ident = np.eye(n, dtype=m.dtype)
@@ -275,10 +319,15 @@ def expm(a, t=1.0):
     u = m @ (b[1] * ident + b[3] * m2 + b[5] * m4)
     v = b[0] * ident + b[2] * m2 + b[4] * m4 + b[6] * (m4 @ m2)
     x = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        x = x @ x
+    for k in range(squarings.max(initial=0)):
+        live = squarings > k
+        if live.all():
+            x = x @ x
+        else:
+            x[live] = x[live] @ x[live]
     if not np.isfinite(x).all():
-        raise OverflowError("matrix exponential overflowed")
+        _refuse(~np.isfinite(x).all(axis=(-2, -1)),
+                "matrix exponential overflowed", kind=OverflowError)
     return x
 
 
@@ -288,6 +337,7 @@ ContractionReport.__doc__ = """Norms of e^{At} at sampled times.
 
 passed is true when every sampled norm (H-weighted when a gram was
 given) is at most 1 + tol, the finite-dimensional Lumer-Phillips test.
+For a stack, each norm and passed hold one entry per member.
 """
 
 
@@ -317,5 +367,5 @@ def contraction_certificate(a, gram=None, times=(0.1, 1.0, 10.0), tol=1e-10):
         else:
             norms.append(gram.weighted_norm_of_operator(e))
     norms = tuple(norms)
-    passed = all(v <= 1.0 + tol for v in norms)
+    passed = _per_member(np.less_equal(norms, 1.0 + tol).all(axis=0), m)
     return ContractionReport(times, norms, tol, passed)

@@ -123,6 +123,8 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     supplied inner product the energy is nonincreasing up to roundoff.
     """
     m = as_complex_matrix(a, "A")
+    if m.ndim != 2:
+        raise ValueError("A must be one matrix, got shape %s" % (m.shape,))
     if x0 is None:
         raise ValueError("x0 is required")
     x = np.asarray(x0).reshape(-1)

@@ -6,14 +6,23 @@ n2).  The external Cayley system transform rewires the loop channel pair
 (e, f) into the input/output pair u = (e - f)/sqrt(2), y = (e + f)/sqrt(2),
 turning a dissipative A_ext into a scattering-passive system node
 (A, B, C, D).  Scattering passivity is certified by the eigenvalue of an
-exact LMI block form rather than by trajectories.
+exact LMI block form rather than by trajectories.  Blocks may be stacks
+(..., rows, cols) with one batch shape; the flags, margins and passivity
+values then hold one entry per member.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .numkernel import SvdFactor, as_complex_matrix, dissipativity_margin, op_norm
+from .numkernel import (
+    SvdFactor,
+    _per_member,
+    _refuse,
+    as_complex_matrix,
+    dissipativity_margin,
+    op_norm,
+)
 
 __all__ = [
     "ExtendedOperator",
@@ -40,12 +49,12 @@ class ExtendedOperator(object):
         self.a12 = as_complex_matrix(a12, "A12")
         self.a21 = as_complex_matrix(a21, "A21")
         self.a22 = as_complex_matrix(a22, "A22")
-        n1, n2 = self.a11.shape[0], self.a22.shape[0]
-        if self.a11.shape != (n1, n1) or self.a22.shape != (n2, n2):
+        n1, n2 = self.a11.shape[-1], self.a22.shape[-1]
+        if self.a11.shape[-2:] != (n1, n1) or self.a22.shape[-2:] != (n2, n2):
             raise ValueError("diagonal blocks must be square")
-        if self.a12.shape != (n1, n2):
+        if self.a12.shape[-2:] != (n1, n2):
             raise ValueError("A12 must be %s, got %s" % ((n1, n2), self.a12.shape))
-        if self.a21.shape != (n2, n1):
+        if self.a21.shape[-2:] != (n2, n1):
             raise ValueError("A21 must be %s, got %s" % ((n2, n1), self.a21.shape))
         self.n1 = n1
         self.n2 = n2
@@ -66,8 +75,11 @@ class ExtendedOperator(object):
     @cached_property
     def skew(self):
         full = self.matrix
-        defect = full + full.conj().T
-        return not defect.any() or op_norm(defect) <= 1e-10 * (1.0 + op_norm(full))
+        defect = full + full.conj().mT
+        exact = ~defect.any(axis=(-2, -1))
+        if not exact.all():
+            exact = exact | (op_norm(defect) <= 1e-10 * (1.0 + op_norm(full)))
+        return _per_member(exact, full)
 
     def apply(self, x, e):
         """Apply the assembled operator to (x, e), returning (z, f)."""
@@ -92,16 +104,16 @@ class SystemNode(object):
         self.b = as_complex_matrix(b, "B")
         self.c = as_complex_matrix(c, "C")
         self.d = as_complex_matrix(d, "D")
-        n = self.a.shape[0]
-        if self.a.shape != (n, n):
+        n = self.a.shape[-1]
+        if self.a.shape[-2:] != (n, n):
             raise ValueError("A must be square")
-        m = self.b.shape[1]
-        p = self.c.shape[0]
-        if self.b.shape != (n, m):
+        m = self.b.shape[-1]
+        p = self.c.shape[-2]
+        if self.b.shape[-2:] != (n, m):
             raise ValueError("B must have %d rows" % n)
-        if self.c.shape != (p, n):
+        if self.c.shape[-2:] != (p, n):
             raise ValueError("C must have %d columns" % n)
-        if self.d.shape != (p, m):
+        if self.d.shape[-2:] != (p, m):
             raise ValueError("D must be %s, got %s" % ((p, m), self.d.shape))
         self.nstates = n
         self.ninputs = m
@@ -132,14 +144,14 @@ def external_cayley(ext):
         raise TypeError("external_cayley expects an ExtendedOperator")
     ident = np.eye(ext.n2, dtype=ext.a22.dtype)
     if not ext.a22.any():
-        # A22 = 0 reduction: W = I exactly
+        # A22 = 0 reduction: W = I exactly, and D = I + A22 = I
         a = ext.a11 + ext.a12 @ ext.a21
-        return SystemNode(a, _SQRT2 * ext.a12, _SQRT2 * ext.a21, ident)
+        return SystemNode(a, _SQRT2 * ext.a12, _SQRT2 * ext.a21,
+                          ident + ext.a22)
     w = SvdFactor(ident - ext.a22, "I - A22")
-    if w.singular:
-        raise ValueError("I - A22 is singular to working precision; "
-                         "the extended operator is not maximal dissipative "
-                         "in the required sense")
+    _refuse(w.singular, "I - A22 is singular to working precision; "
+                        "the extended operator is not maximal dissipative "
+                        "in the required sense")
     a12_winv = w.rsolve(ext.a12)
     a = ext.a11 + a12_winv @ ext.a21
     b = _SQRT2 * a12_winv
@@ -162,13 +174,14 @@ def passivity_check(node, tol=1e-9):
     """
     a, b, c, d = node.a, node.b, node.c, node.d
     m = node.ninputs
-    top = np.hstack([a + a.conj().T + c.conj().T @ c, b + c.conj().T @ d])
-    bot = np.hstack([(b + c.conj().T @ d).conj().T,
-                     d.conj().T @ d - np.eye(m, dtype=d.dtype)])
-    block = np.vstack([top, bot])
-    block = (block + block.conj().T) / 2.0
-    lam = float(np.linalg.eigvalsh(block).max())
-    return lam
+    ch = c.conj().mT
+    cross = b + ch @ d
+    block = np.block([[a + a.conj().mT + ch @ c, cross],
+                      [cross.conj().mT,
+                       d.conj().mT @ d - np.eye(m, dtype=d.dtype)]])
+    block = (block + block.conj().mT) / 2.0
+    # eigvalsh sorts ascending, so the last eigenvalue is the largest
+    return _per_member(np.linalg.eigvalsh(block)[..., -1], a)
 
 
 def node_apply(node, x, u):

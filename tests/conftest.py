@@ -1,8 +1,10 @@
 """Shared random-matrix builders for the test suite.
 
 All randomness flows through explicit numpy generators with fixed seeds so
-every run sees the same matrices.  The builders are the ones the `verify`
-suites draw from; only random_contraction is test-only.
+every run sees the same matrices.  Each builder draws one matrix with the
+`verify` suites' draw and shifts it with their (stack-taking) shift, so a
+case built here is the case a suite draws from the same generator state;
+only random_contraction is test-only.
 """
 
 import inspect
@@ -10,10 +12,20 @@ import inspect
 import numpy as np
 import pytest
 
-from semilab.cli import _random_accretive as random_accretive
-from semilab.cli import _random_dissipative as random_dissipative
-from semilab.cli import _random_dissipative_ext as random_dissipative_ext
+from semilab.cli import _accretive, _dissipative, _dissipative_ext
 from semilab.cli import _random_matrix as random_matrix
+
+
+def random_accretive(rng, n, floor):
+    return _accretive(random_matrix(rng, n), floor)
+
+
+def random_dissipative(rng, n, gap=0.1):
+    return _dissipative(random_matrix(rng, n), gap)
+
+
+def random_dissipative_ext(rng, n1, n2, gap=0.1):
+    return _dissipative_ext(random_matrix(rng, n1 + n2), n1, gap)
 
 
 def random_contraction(rng, n, margin=0.05):

@@ -1,10 +1,16 @@
+import contextlib
 import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semilab
 from semilab.cli import (
@@ -17,6 +23,7 @@ from semilab.cli import (
 from semilab.cli import (
     EXPERIMENTS,
     FIXTURES,
+    STEPPERS,
     _COMMANDS,
     _KEYS,
     _profile_values,
@@ -143,6 +150,30 @@ class TestParseConfig:
                            % key):
             ExperimentConfig(experiment="ionorm", fixture="feedthrough",
                              nsteps=8, **{key: value})
+
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("negative_control", "false", "true or false"),
+        ("negative_control", 0, "true or false"),
+        ("cases", 2.7, "an integer"),
+        ("cases", "3", "an integer"),
+        ("max_dim", True, "an integer"),
+        ("dt", "0.1", "a number"),
+        ("tol", False, "a number"),
+        ("fixture", 1, "a string"),
+    ])
+    def test_keyword_values_must_have_the_key_type(self, key, value, kind):
+        # before: bool("false") ran the negative control, cases = 2.7 ran
+        # 2 cases and max_dim = True ran dimension 1
+        with pytest.raises(ValueError, match="^%s must be %s, got %s$"
+                           % (key, kind, re.escape(repr(value)))):
+            ExperimentConfig(experiment="verify_random", **{key: value})
+
+    def test_keyword_numbers_of_other_kinds_are_taken(self):
+        config = ExperimentConfig(experiment="verify_random", dt=1,
+                                  cases=np.int64(3), negative_control=True)
+        assert (config.dt, config.cases) == (1.0, 3)
+        assert type(config.dt) is float and type(config.cases) is int
 
 
 class TestKeyTable:
@@ -553,3 +584,86 @@ class TestMain:
         assert proc.returncode == 0
         assert proc.stdout.endswith("overall: PASS\n")
         assert "wall time" in proc.stderr
+
+
+def _texts(*values):
+    return st.sampled_from(values)
+
+
+_PROFILES = _texts("constant:1", "constant:2", "linear:1,0.5", "power:1")
+# valid values, with the size keys always written so every accepted
+# config stays small
+_FUZZ_SIZES = {
+    "n": _texts("2", "3", "4"),
+    "cases": _texts("1", "2", "3"),
+    "max_dim": _texts("1", "2", "3"),
+    "nsteps": _texts("4", "8"),
+}
+_FUZZ_OPTIONAL = {
+    "dt": _texts("0.05", "0.1", "0.25", "0.5"),
+    "T": _texts("0.5", "1", "2"),
+    "seed": _texts("0", "1", "7"),
+    "tol": _texts("1e-9", "1e-6"),
+    "alpha_exp": _texts("0.3", "0.5", "0.7"),
+    "kappa": _texts("0", "0.5", "1"),
+    "delta_floor": _texts("0.05", "0.5"),
+    "stepper": st.sampled_from(STEPPERS),
+    "fixture": st.sampled_from(FIXTURES),
+    "negative_control": _texts("true", "false"),
+    "rho": _PROFILES, "young": _PROFILES, "k_v": _PROFILES,
+    "k_s": _PROFILES, "s_fun": _PROFILES,
+}
+# (key, value) pairs a config may be spoiled with: out of range, of the
+# wrong type, not finite, a mismatched experiment or an unknown key
+_FUZZ_BAD = (
+    ("n", "1"), ("n", "2.5"), ("n", "x"), ("cases", "0"),
+    ("cases", "100001"), ("cases", "2.5"), ("max_dim", "0"),
+    ("max_dim", "65"), ("max_dim", "true"), ("nsteps", "3"),
+    ("nsteps", "1e9"), ("dt", "0"), ("dt", "-0.1"), ("dt", "inf"),
+    ("dt", "nan"), ("dt", "0.3"), ("T", "-1"), ("T", "0.01"), ("T", "1e6"),
+    ("seed", "-1"), ("seed", "1.5"), ("tol", "0"), ("tol", "x"),
+    ("alpha_exp", "1"), ("kappa", "-1"), ("delta_floor", "0"),
+    ("stepper", "euler"), ("fixture", "bogus"),
+    ("negative_control", "maybe"), ("experiment", "schroedinger"),
+    ("experiment", "viscous"), ("experiment", "verify_random"),
+    ("experiment", "ionorm"), ("rho", "constant:0"), ("rho", "constant:-1"),
+    ("young", "power:-1"), ("k_v", "linear:-1,0.5"), ("k_s", "cubic:3"),
+    ("s_fun", "constant:x"), ("mesh", "3"),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_cli_contract_fuzz(data):
+    # any small config, valid or spoiled in up to two keys: exit 0, 1
+    # (with a FAIL line in the report) or 2 (one error line), and never
+    # a traceback
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    keys = data.draw(st.fixed_dictionaries(
+        dict(_FUZZ_SIZES, experiment=st.sampled_from(_COMMANDS[command])),
+        optional=_FUZZ_OPTIONAL))
+    keys.update(data.draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=2)))
+    text = "".join("%s = %s\n" % item for item in keys.items())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = main([command, cfg, "--out", out])
+        report = ""
+        if rc in (0, 1):
+            with open(os.path.join(out, "report.txt"),
+                      encoding="utf-8") as handle:
+                report = handle.read()
+    err = stderr.getvalue()
+    assert rc in (0, 1, 2), (text, err)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert report == stdout.getvalue()
+        assert (rc == 1) == ("FAIL" in report)
+        assert report.endswith("overall: %s\n" % ("FAIL" if rc else "PASS"))

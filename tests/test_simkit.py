@@ -193,6 +193,12 @@ class TestSimulateSemigroup:
         with pytest.raises(ValueError, match="x0 must be finite"):
             simulate_semigroup(-np.eye(2), x0=x0, T=1.0, dt=0.5)
 
+    def test_stack_of_generators_refused(self):
+        # the primitives take stacks; one trajectory needs one generator
+        with pytest.raises(ValueError, match=r"^A must be one matrix, got "
+                           r"shape \(2, 2, 2\)$"):
+            simulate_semigroup(-np.stack([np.eye(2)] * 2), x0=[1.0, 0.0])
+
     @pytest.mark.parametrize("T, dt, name", [
         (np.inf, 1.0, "T"), (np.nan, 1.0, "T"),
         (1.0, np.inf, "dt"), (1.0, np.nan, "dt")])
