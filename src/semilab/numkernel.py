@@ -4,9 +4,9 @@ Every operator in this package is a dense matrix over the complex field;
 a real one is carried as float64 (zero imaginary part) and numpy's
 promotion makes a result complex128 only when an operand is, with
 ``as_complex_matrix`` the one coercion.  This module provides the shared
-plumbing: Hermitian parts, dissipativity margins (plain and
-Gram-weighted), operator norms, a matrix exponential, contraction
-certificates, and SVD solves.
+plumbing: Hermitian parts, dissipativity margins, operator norms, a
+matrix exponential, contraction certificates, and SVD solves; a weighted
+quantity is the plain one of ``Gram.similar(a)``.
 
 The primitives take one matrix or a stack of shape (..., n, n) through
 the same code: a stack gives one value per member (an array over the
@@ -22,8 +22,8 @@ not below COND_LIMIT, anchored at unit scale for the loop factors
 I - A22 S and I - K D.  The Cayley and feedback constructions factor
 each matrix once through ``SvdFactor``, which keeps the singular
 vectors; the one-shot ``svd_solve`` reads the singular values only and
-solves by LU.  ``expm``, ``Gram`` and the weighted margin solve against
-Pade denominators and Cholesky factors with numpy directly.
+solves by LU.  ``expm`` and ``Gram`` solve against Pade denominators
+and Cholesky factors with numpy directly.
 """
 
 import math
@@ -193,9 +193,9 @@ class Gram(object):
     """Hermitian positive definite weight H defining <x,y>_H = <Hx, y>.
 
     The matrix is validated (Hermitian within 1e-12 relative, positive
-    definite) and its Cholesky factor is cached for the weighted margin
-    and weighted norm computations.  The two 2-norms of the Hermitian
-    test are computed only when m - m* is not exactly zero.
+    definite) and factored once as H = L L* for ``similar``: a weighted
+    quantity of a is the plain one of L* a L^{-*}.  The two 2-norms of
+    the Hermitian test are computed only when m - m* is not exactly zero.
     """
 
     def __init__(self, matrix):
@@ -215,19 +215,23 @@ class Gram(object):
     def dim(self):
         return self.matrix.shape[0]
 
-    def weighted_norm_of_operator(self, a):
-        """Operator norm of ``a`` in the H inner product.
+    def check_dim(self, n):
+        """Raise ValueError unless an operator of dimension ``n`` fits H."""
+        if n != self.dim:
+            raise ValueError("operator dimension %d does not match gram "
+                             "dimension %d" % (n, self.dim))
 
-        Equals the 2-norm of L* a L^{-*} where H = L L*.
+    def similar(self, a):
+        """L* a L^{-*} for H = L L*, the one reader of the Cholesky factor.
+
+        Its Hermitian part is L^{-1} herm(HA) L^{-*} and its exponential
+        L* e^{At} L^{-*}: its plain margin and norms are a's H-weighted ones.
         """
         m = _square(a)
-        if m.shape[-1] != self.dim:
-            raise ValueError("operator dimension %d does not match gram dimension %d"
-                             % (m.shape[-1], self.dim))
+        self.check_dim(m.shape[-1])
         l = self.cholesky
-        # L^* a L^{-*}: right-solve against L^*, using (L^*)^T = conj(L)
-        right = np.linalg.solve(l.conj(), (l.conj().T @ m).mT).mT
-        return op_norm(right)
+        # right-solve against L^*, using (L^*)^T = conj(L)
+        return np.linalg.solve(l.conj(), (l.conj().T @ m).mT).mT
 
     def squared_norms(self, rows):
         """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
@@ -250,26 +254,14 @@ def dissipativity_margin(a, gram=None):
 
     Without a gram this is lambda_max((A + A*)/2); ``a`` is dissipative
     (Re <Ax, x> <= 0 for all x) iff the result is <= 0.  With a gram H the
-    margin is taken in the H inner product: lambda_max of the pencil
-    (HA + A*H, 2H), reduced through the Cholesky factor of H.
+    margin is taken in the H inner product, lambda_max of the pencil
+    (HA + A*H, 2H): the plain margin of ``gram.similar(a)``.
     """
-    m = _square(a)
+    if gram is not None:
+        a = (gram if isinstance(gram, Gram) else Gram(gram)).similar(a)
+    h = herm_part(a)
     # eigvalsh sorts ascending, so the last eigenvalue is the largest
-    if gram is None:
-        return _per_member(np.linalg.eigvalsh(herm_part(m))[..., -1], m)
-    if not isinstance(gram, Gram):
-        gram = Gram(gram)
-    if gram.dim != m.shape[-1]:
-        raise ValueError("gram dimension %d does not match operator dimension %d"
-                         % (gram.dim, m.shape[-1]))
-    l = gram.cholesky
-    w = gram.matrix @ m
-    w = w + w.conj().mT
-    # L^{-1} (HA + A*H) L^{-*}
-    y = np.linalg.solve(l, w)
-    y = np.linalg.solve(l, y.conj().mT).conj().mT
-    y = (y + y.conj().mT) / 2.0
-    return _per_member(np.linalg.eigvalsh(y)[..., -1] / 2.0, m)
+    return _per_member(np.linalg.eigvalsh(h)[..., -1], h)
 
 
 # Diagonal Pade approximant of order (6, 6); coefficients of the numerator
@@ -335,8 +327,8 @@ ContractionReport = namedtuple(
     "ContractionReport", ["times", "norms", "tol", "passed"])
 ContractionReport.__doc__ = """Norms of e^{At} at sampled times.
 
-passed is true when every sampled norm (H-weighted when a gram was
-given) is at most 1 + tol, the finite-dimensional Lumer-Phillips test.
+passed is true when every sampled norm (of ``Gram.similar(a)`` with a
+gram) is at most 1 + tol, the finite-dimensional Lumer-Phillips test.
 For a stack, each norm and passed hold one entry per member.
 """
 
@@ -357,15 +349,8 @@ def contraction_certificate(a, gram=None, times=(0.1, 1.0, 10.0), tol=1e-10):
         raise ValueError("times must be nonempty")
     if any(s < 0 for s in times):
         raise ValueError("times must be nonnegative")
-    if gram is not None and not isinstance(gram, Gram):
-        gram = Gram(gram)
-    norms = []
-    for s in times:
-        e = expm(m, s)
-        if gram is None:
-            norms.append(op_norm(e))
-        else:
-            norms.append(gram.weighted_norm_of_operator(e))
-    norms = tuple(norms)
+    if gram is not None:
+        m = (gram if isinstance(gram, Gram) else Gram(gram)).similar(m)
+    norms = tuple(op_norm(expm(m, s)) for s in times)
     passed = _per_member(np.less_equal(norms, 1.0 + tol).all(axis=0), m)
     return ContractionReport(times, norms, tol, passed)

@@ -133,8 +133,9 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
                          % (x.shape[0], m.shape[0]))
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    if gram is not None and not isinstance(gram, Gram):
-        gram = Gram(gram)
+    if gram is not None:
+        gram = gram if isinstance(gram, Gram) else Gram(gram)
+        gram.check_dim(m.shape[0])
     nsteps = _steps_of(T, dt)
     if stepper == "expm":
         step = expm(m, float(dt))
@@ -256,7 +257,7 @@ def _ritz(alphas, betas):
     return float(sing[0]), float(betas[-1] * abs(left[-1, 0]))
 
 
-def _toeplitz_norm(blocks, max_steps=_GKL_MAX_STEPS):
+def _toeplitz_norm(blocks):
     """Largest singular value of the block lower-triangular Toeplitz operator.
 
     Golub-Kahan-Lanczos bidiagonalization T V_k = U_k B_k from a fixed
@@ -268,8 +269,8 @@ def _toeplitz_norm(blocks, max_steps=_GKL_MAX_STEPS):
     lower-bounds the operator norm.  The Ritz residual is checked every
     _GKL_CHECK_EVERY steps and the run stops once it is at most
     _GKL_RTOL * theta, on breakdown (then theta is exact) or after
-    min(max_steps, nsteps p, nsteps m) steps, where the residual shows
-    how far the run was from converging.
+    min(_GKL_MAX_STEPS, nsteps p, nsteps m) steps, where the residual
+    shows how far the run was from converging.
     """
     nsteps, p, m = blocks.shape
     fwd = _fft_kernel(blocks)
@@ -278,7 +279,7 @@ def _toeplitz_norm(blocks, max_steps=_GKL_MAX_STEPS):
         # ||T|| = ||T^H||: keep the stored basis on the smaller side, where
         # exhausting it ends in an exact breakdown
         fwd, adj, p, m = adj, fwd, m, p
-    cap = min(int(max_steps), nsteps * m)
+    cap = min(_GKL_MAX_STEPS, nsteps * m)
     rng = np.random.default_rng(0)
     start = rng.standard_normal(nsteps * m)
     if np.iscomplexobj(blocks):

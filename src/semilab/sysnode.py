@@ -119,14 +119,6 @@ class SystemNode(object):
         self.ninputs = m
         self.noutputs = p
 
-    @cached_property
-    def passivity_margin(self):
-        """Cached LMI certificate; the node is scattering passive iff <= 0 (tol)."""
-        return passivity_check(self)
-
-    def is_passive(self, tol=1e-9):
-        return self.passivity_margin <= tol
-
 
 def external_cayley(ext):
     """External Cayley system transform of an extended operator.

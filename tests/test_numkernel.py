@@ -17,7 +17,7 @@ from semilab.numkernel import (
     op_norm,
     svd_solve,
 )
-from semilab.simkit import _LEDGER_BLOCK
+from semilab.simkit import _LEDGER_BLOCK, simulate_semigroup
 from semilab.sysnode import external_cayley
 
 from conftest import (
@@ -151,7 +151,7 @@ class TestGram:
     def test_weighted_norm_identity_gram(self, rng):
         g = Gram(np.eye(7))
         m = random_matrix(rng, 7)
-        assert g.weighted_norm_of_operator(m) == pytest.approx(op_norm(m))
+        assert op_norm(g.similar(m)) == pytest.approx(op_norm(m))
 
     def test_weighted_norm_via_similarity(self, rng):
         h = np.diag([1.0, 4.0, 0.25, 9.0])
@@ -159,7 +159,34 @@ class TestGram:
         m = random_matrix(rng, 4)
         root = np.diag(np.sqrt(np.diag(h)))
         ref = op_norm(root @ m @ np.linalg.inv(root))
-        assert g.weighted_norm_of_operator(m) == pytest.approx(ref)
+        assert op_norm(g.similar(m)) == pytest.approx(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_weighted_paths_match_dense_gram_oracle(self, n):
+        rng = np.random.default_rng(n)
+        a = random_matrix(rng, n)
+        r = random_matrix(rng, n)
+        h = r @ r.conj().T + 0.5 * np.eye(n)
+        assert n == 1 or np.count_nonzero(h - np.diag(np.diag(h)))
+        w = h @ a
+        ref = scipy.linalg.eigh(w + w.conj().T, 2.0 * h,
+                                eigvals_only=True).max()
+        assert abs(dissipativity_margin(a, h) - ref) <= 1e-10 * abs(ref)
+        root = scipy.linalg.sqrtm(h)
+        report = contraction_certificate(a, gram=h)
+        for t, got in zip(report.times, report.norms):
+            ref = op_norm(root @ scipy.linalg.expm(a * t) @ np.linalg.inv(root))
+            assert abs(got - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("call", [
+        lambda a, g: dissipativity_margin(a, g),
+        lambda a, g: contraction_certificate(a, gram=g),
+        lambda a, g: simulate_semigroup(a, g, x0=np.ones(3), T=0.1, dt=0.01),
+    ], ids=["margin", "certificate", "simulate"])
+    def test_dimension_mismatch_names_both(self, call):
+        with pytest.raises(ValueError, match="^operator dimension 3 does not "
+                                             "match gram dimension 4$"):
+            call(-np.eye(3), Gram(np.eye(4)))
 
     def test_weighted_vector_norm(self):
         g = Gram(np.diag([4.0, 1.0]))

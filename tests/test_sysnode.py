@@ -118,7 +118,6 @@ class TestExternalCayley:
             n2 = int(rng.integers(1, 6))
             node = external_cayley(random_dissipative_ext(rng, n1, n2))
             assert passivity_check(node) <= 1e-9
-            assert node.is_passive()
 
     def test_nonzero_a22_matches_block_formula(self, rng):
         ext = random_dissipative_ext(rng, 4, 3)
@@ -137,7 +136,7 @@ class TestPassivityCheck:
         zero = np.zeros((1, 1), dtype=complex)
         node = external_cayley(ExtendedOperator(one, zero, zero, zero))
         assert passivity_check(node) == pytest.approx(2.0)
-        assert not node.is_passive()
+        assert not passivity_check(node) <= 1e-9
 
     def test_lossless_feedthrough(self):
         zero = np.zeros((1, 1), dtype=complex)
