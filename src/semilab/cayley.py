@@ -18,7 +18,6 @@ from .numkernel import (
     _per_member,
     _refuse,
     _square,
-    herm_part,
     op_norm,
 )
 
@@ -45,7 +44,7 @@ class AccretiveOperator(object):
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
         # eigvalsh sorts ascending, so the first eigenvalue is the smallest
-        lam = np.linalg.eigvalsh(herm_part(m))[..., 0]
+        lam = np.linalg.eigvalsh((m + m.conj().mT) / 2.0)[..., 0]
         negative = lam < 0.0
         if negative.any():
             _refuse(negative & (lam < -1e-12 * (1.0 + op_norm(m))),

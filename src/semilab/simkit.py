@@ -241,7 +241,7 @@ def _block_convolve(kernel_fft, vec):
     else:
         size = kernel_fft.shape[0]
         forward, inverse = np.fft.fft, np.fft.ifft
-    yf = np.einsum("kpm,km->kp", kernel_fft, forward(vec, n=size, axis=0))
+    yf = (kernel_fft @ forward(vec, n=size, axis=0)[..., None])[..., 0]
     return inverse(yf, n=size, axis=0)[:vec.shape[0]]
 
 

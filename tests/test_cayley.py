@@ -12,6 +12,7 @@ from semilab.cayley import (
     s_norm_bound,
     strict_contraction_bound,
 )
+from semilab import numkernel
 from semilab.numkernel import op_norm
 
 from conftest import random_accretive, random_contraction
@@ -33,6 +34,18 @@ class TestWrappers:
         AccretiveOperator(random_accretive(rng, 6, floor=0.05))
         AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert svd_calls == []
+
+    def test_accretive_coerces_once(self, rng, monkeypatch):
+        calls = []
+        coerce = numkernel.as_complex_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return coerce(*args, **kwargs)
+
+        monkeypatch.setattr(numkernel, "as_complex_matrix", counted)
+        AccretiveOperator(random_accretive(rng, 6, floor=0.05))
+        assert calls == [("accretive operator",)]
 
     def test_skew_is_accretive_with_zero_delta(self):
         s = AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))

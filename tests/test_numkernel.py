@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from semilab.feedback import check_admissible, internal_loop
 from semilab.numkernel import (
+    _EXPM_THETA,
     ContractionReport,
     Gram,
     SvdFactor,
@@ -17,6 +18,7 @@ from semilab.numkernel import (
     op_norm,
     svd_solve,
 )
+from semilab.pdelab import Grid1D, PdeCoefficients, energy_gram, wave_ext
 from semilab.simkit import _LEDGER_BLOCK, simulate_semigroup
 from semilab.sysnode import external_cayley
 
@@ -259,9 +261,41 @@ class TestExpm:
                 worst = max(worst, err)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("factor", [0.9, 1.1, 40.0],
+                             ids=["0-squarings", "1-squaring", "6-squarings"])
+    def test_matches_scipy_across_threshold(self, rng, factor):
+        # ||At||_1 = factor * theta_13 takes ceil(log2(factor))^+ squarings
+        for n in (1, 2, 5, 12):
+            a = random_matrix(rng, n)
+            t = factor * _EXPM_THETA / np.abs(a).sum(axis=0).max()
+            ref = scipy.linalg.expm(a * t)
+            assert op_norm(expm(a, t) - ref) <= 1e-12 * op_norm(ref)
+
+    def test_matches_scipy_on_wave_heat_generator(self):
+        grid = Grid1D(64)
+        coeffs = PdeCoefficients(grid, rho=lambda x: 1.0 + 0.5 * x,
+                                 young=lambda x: 2.0 - x)
+        a = wave_ext(grid).matrix @ energy_gram(grid, coeffs).matrix
+        assert a.shape == (127, 127)
+        for t in (0.01, 0.1, 1.0):
+            ref = scipy.linalg.expm(a * t)
+            assert op_norm(expm(a, t) - ref) <= 1e-12 * op_norm(ref)
+
     def test_time_zero_is_identity(self, rng):
-        a = random_matrix(rng, 4)
-        assert np.allclose(expm(a, 0.0), np.eye(4))
+        for a in (random_matrix(rng, 4), random_matrix(rng, 4).real,
+                  np.stack([random_matrix(rng, 4) for _ in range(3)])):
+            x = expm(a, 0.0)
+            assert x.dtype == a.dtype
+            assert (x == np.eye(4)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 5, 5)],
+                             ids=["1x1", "5x5", "stack"])
+    def test_zero_matrix_is_exact_identity(self, dtype, shape):
+        # an integer-scaled Pade numerator gives 1 - 2^-53 at (1, 1)
+        x = expm(np.zeros(shape, dtype=dtype), 2.0)
+        assert x.dtype == dtype
+        assert (x == np.eye(shape[-1])).all()
 
     def test_rejects_negative_time(self, rng):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from semilab.cayley import (
 )
 from semilab.feedback import a_s_via_feedback, check_admissible, internal_loop
 from semilab.numkernel import (
+    _EXPM_THETA,
     Gram,
     SvdFactor,
     as_complex_matrix,
@@ -94,9 +95,13 @@ def test_numkernel_stacks_match_member_loops(n, size, seed):
     gram = Gram(np.diag(np.linspace(0.5, 2.0, n)))
     assert_members(dissipativity_margin(m, gram),
                    [dissipativity_margin(x, gram) for x in m])
-    # members of different norms take different numbers of squarings
-    scaled = m * (1.0 + 3.0 * np.arange(size))[:, None, None]
-    for t in (0.0, 0.1, 10.0):
+    # members of different norms take different numbers of squarings: at
+    # t = 1 the 1-norms theta_13 / 2 take none and 2 theta_13 take one
+    unit = m / np.abs(m).sum(axis=-2).max(axis=-1)[:, None, None]
+    scaled = np.concatenate([unit, 4.0 * unit]) * (0.5 * _EXPM_THETA)
+    norms = np.abs(scaled).sum(axis=-2).max(axis=-1)
+    assert (norms < _EXPM_THETA).any() and (norms > _EXPM_THETA).any()
+    for t in (0.0, 0.1, 1.0, 10.0):
         assert_members(expm(scaled, t), [expm(x, t) for x in scaled])
     # some members expand, so the passed flags differ between members
     gaps = np.linspace(-0.05, 0.2, size)
