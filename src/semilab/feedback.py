@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .cayley import AccretiveOperator, ContractionOperator, cayley_of_accretive
-from .numkernel import SvdFactor, as_complex_matrix, op_norm
+from .numkernel import SvdFactor, _per_member, as_complex_matrix, op_norm
 from .sysnode import ExtendedOperator, SystemNode, external_cayley
 
 __all__ = [
@@ -44,11 +44,11 @@ InternalLoopResult = namedtuple(
     "InternalLoopResult", ["a_s", "loop_solve_condition"])
 InternalLoopResult.__doc__ = """Outcome of the internal loop through S.
 
-a_s is the n1-square matrix when the loop effect is uniquely determined,
-None when the loop is unsolvable (empty or multi-valued);
+a_s is the nstates-square matrix when the loop effect is uniquely
+determined, None when the loop is unsolvable (empty or multi-valued);
 loop_solve_condition is the unit-anchored condition number
 max(sigma_max, 1) / sigma_min of I - A22 S (see numkernel.SvdFactor),
-1.0 on the A22 = 0 shortcut where the factor is I.
+1.0 per member on the A22 = 0 shortcut where the factor is I.
 """
 
 
@@ -62,57 +62,60 @@ class InadmissibleFeedbackError(ValueError):
         self.m_condition = m_condition
 
 
-def _operator_matrix(op, name):
-    if isinstance(op, (AccretiveOperator, ContractionOperator)):
-        return op.matrix
-    return as_complex_matrix(op, name)
+def _feedback_matrix(op, node, name):
+    """S or K as a matrix that fits node's output-to-input channel."""
+    m = (op.matrix if isinstance(op, (AccretiveOperator, ContractionOperator))
+         else as_complex_matrix(op, name))
+    shape = (node.ninputs, node.noutputs)
+    if m.shape[-2:] != shape:
+        raise ValueError("%s must be %s, got shape %s"
+                         % (name, shape, m.shape))
+    return m
 
 
 def internal_loop(ext, s):
     """Close the internal loop e = S f of an extended operator.
 
-    Eliminating f = A21 x + A22 S f gives, when W = I - A22 S is
-    invertible, A_S = A11 + A12 S W^{-1} A21.  A singular W is a
-    legitimate outcome, not an error: the loop is still solvable when
-    A21 maps into the range of W and the kernel ambiguity is annihilated
-    by A12 S (rank-revealing test); otherwise a_s is None because the
-    loop is empty or multi-valued on part of the state space.
+    A_S = A + B S (I - D S)^{-1} C, check_admissible's A^f with K = S,
+    computed as A11 + A12 S W^{-1} A21 with W = I - A22 S.  A singular W
+    is a legitimate outcome, not an error: the loop is still solvable
+    when A21 maps into the range of W and the kernel ambiguity is
+    annihilated by A12 S (rank-revealing test); otherwise a_s is None
+    because the loop is empty or multi-valued on part of the state space.
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("internal_loop expects an ExtendedOperator")
-    sm = _operator_matrix(s, "S")
-    if sm.shape[-2:] != (ext.n2, ext.n2):
-        raise ValueError("S has shape %s, loop channel has dimension %d"
-                         % ((sm.shape,), ext.n2))
-    if not ext.a22.any():
-        # triangular case: f = A21 x directly
-        a_s = ext.a11 + ext.a12 @ (sm @ ext.a21)
-        return InternalLoopResult(a_s, 1.0)
-    w = SvdFactor(np.eye(ext.n2) - ext.a22 @ sm, "I - A22 S",
-                  unit_anchor=True)
+    sm = _feedback_matrix(s, ext, "S")
+    a11, a12, a21, a22 = ext.a, ext.b, ext.c, ext.d
+    if not a22.any():
+        # triangular case: f = A21 x directly, and W = I for every member
+        a_s = a11 + a12 @ (sm @ a21)
+        return InternalLoopResult(a_s,
+                                  _per_member(np.ones(a_s.shape[:-2]), a_s))
+    n2 = ext.ninputs
+    w = SvdFactor(np.eye(n2) - a22 @ sm, "I - A22 S", unit_anchor=True)
     if np.ndim(w.cond) or not w.singular:
         # a stack solves every member or names its first singular one
-        return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ w.solve(ext.a21)),
-                                  w.cond)
+        return InternalLoopResult(a11 + a12 @ (sm @ w.solve(a21)), w.cond)
     # rank-revealing split of one singular loop equation
     u, sv, vh = w.u, w.sv, w.vh
     scale = sv[0] if len(sv) and sv[0] > 0.0 else 1.0
-    rank = int(np.sum(sv > scale * ext.n2 * np.finfo(float).eps * 10))
+    rank = int(np.sum(sv > scale * n2 * np.finfo(float).eps * 10))
     u_r, sv_r, vh_r = u[:, :rank], sv[:rank], vh[:rank]
     # solvable for every x iff range(A21) lies in range(W)
-    residual = ext.a21 - u_r @ (u_r.conj().T @ ext.a21)
-    if op_norm(residual) > 1e-10 * (1.0 + op_norm(ext.a21)):
+    residual = a21 - u_r @ (u_r.conj().T @ a21)
+    if op_norm(residual) > 1e-10 * (1.0 + op_norm(a21)):
         return InternalLoopResult(None, w.cond)
     # unique effect iff A12 S annihilates the kernel ambiguity of f
     kernel = vh[rank:].conj().T
-    if kernel.size and op_norm(ext.a12 @ (sm @ kernel)) > \
-            1e-10 * (1.0 + op_norm(ext.a12 @ sm)):
+    if kernel.size and op_norm(a12 @ (sm @ kernel)) > \
+            1e-10 * (1.0 + op_norm(a12 @ sm)):
         return InternalLoopResult(None, w.cond)
     if rank:
-        f = vh_r.conj().T @ ((u_r.conj().T @ ext.a21) / sv_r[:, None])
+        f = vh_r.conj().T @ ((u_r.conj().T @ a21) / sv_r[:, None])
     else:
-        f = np.zeros((ext.n2, ext.n1))
-    return InternalLoopResult(ext.a11 + ext.a12 @ (sm @ f), w.cond)
+        f = np.zeros((n2, ext.nstates))
+    return InternalLoopResult(a11 + a12 @ (sm @ f), w.cond)
 
 
 def check_admissible(node, k):
@@ -131,10 +134,7 @@ def check_admissible(node, k):
     """
     if not isinstance(node, SystemNode):
         raise TypeError("check_admissible expects a SystemNode")
-    km = _operator_matrix(k, "K")
-    if km.shape[-2:] != (node.ninputs, node.noutputs):
-        raise ValueError("K must be %s, got %s"
-                         % ((node.ninputs, node.noutputs), km.shape))
+    km = _feedback_matrix(k, node, "K")
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
     kd = SvdFactor(np.eye(node.ninputs) - km @ node.d, "I - K D",

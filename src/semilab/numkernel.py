@@ -201,6 +201,9 @@ class Gram(object):
 
     def __init__(self, matrix):
         m = _square(matrix, "gram matrix")
+        if m.ndim != 2:
+            raise ValueError("gram matrix must be one matrix, got shape %s"
+                             % (m.shape,))
         skew = m - m.conj().T
         if skew.any() and op_norm(skew) > 1e-12 * max(op_norm(m), 1.0):
             raise ValueError("gram matrix is not Hermitian")

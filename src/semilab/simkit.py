@@ -48,7 +48,7 @@ def cn_step(a, dt):
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)
-    ident = np.eye(m.shape[0], dtype=m.dtype)
+    ident = np.eye(m.shape[-1], dtype=m.dtype)
     step, _ = svd_solve(ident - (dt / 2.0) * m, ident + (dt / 2.0) * m,
                         "I - (dt/2) A")
     return step

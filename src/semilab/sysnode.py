@@ -1,14 +1,14 @@
 """System nodes and the external Cayley transform of extended operators.
 
-An extended operator is a 2x2 block partition of a square matrix A_ext
-acting on a state channel (dimension n1) and a loop channel (dimension
-n2).  The external Cayley system transform rewires the loop channel pair
-(e, f) into the input/output pair u = (e - f)/sqrt(2), y = (e + f)/sqrt(2),
-turning a dissipative A_ext into a scattering-passive system node
-(A, B, C, D).  Scattering passivity is certified by the eigenvalue of an
-exact LMI block form rather than by trajectories.  Blocks may be stacks
-(..., rows, cols) with one batch shape; the flags, margins and passivity
-values then hold one entry per member.
+A system node (A, B, C, D) maps (state, input) to (state derivative,
+output).  An extended operator ceil(A11 A12 \\ A21 A22) is the system
+node from the loop input e to the loop output f, so the internal loop
+e = S f is static output feedback.  The external Cayley system transform
+rewires (e, f) into u = (e - f)/sqrt(2), y = (e + f)/sqrt(2), turning a
+dissipative extended operator into a scattering-passive node, certified
+by the eigenvalue of an exact LMI block form rather than by trajectories.
+Blocks may be stacks (..., rows, cols) with one batch shape; the flags,
+margins and passivity values then hold one entry per member.
 """
 
 from functools import cached_property
@@ -35,34 +35,68 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-class ExtendedOperator(object):
-    """Blockwise matrix ceil(A11 A12 \\ A21 A22) on a state/loop splitting.
+class SystemNode(object):
+    """Finite-dimensional system node ceil(A&B \\ C&D).
 
-    The dissipativity margin of the assembled matrix and the skew defect
-    are computed lazily; the boolean flags ``dissipative`` and ``skew``
-    report the verified properties rather than caller-supplied claims.
-    The skew test skips its two 2-norms when A + A* is exactly zero.
+    Maps (state, input) to (state derivative, output):
+    z = A x + B u, y = C x + D u.  The constructor coerces and
+    shape-checks the four blocks; its messages name them by the class's
+    ``_names``.
     """
 
+    _names = ("A", "B", "C", "D")
+
+    def __init__(self, a, b, c, d):
+        blocks = [as_complex_matrix(m, name)
+                  for m, name in zip((a, b, c, d), self._names)]
+        n, m, p = blocks[0].shape[-1], blocks[1].shape[-1], blocks[2].shape[-2]
+        for block, name, shape in zip(blocks, self._names,
+                                      ((n, n), (n, m), (p, n), (p, m))):
+            if block.shape[-2:] != shape:
+                raise ValueError("%s must be %s, got shape %s"
+                                 % (name, shape, block.shape))
+        self.a, self.b, self.c, self.d = blocks
+        self.nstates, self.ninputs, self.noutputs = n, m, p
+
+    def apply(self, x, u):
+        """Evaluate (z, y) = (A x + B u, C x + D u)."""
+        x = np.asarray(x).reshape(-1)
+        u = np.asarray(u).reshape(-1)
+        if x.shape[0] != self.nstates:
+            raise ValueError("state has dimension %d, expected %d"
+                             % (x.shape[0], self.nstates))
+        if u.shape[0] != self.ninputs:
+            raise ValueError("input has dimension %d, expected %d"
+                             % (u.shape[0], self.ninputs))
+        return self.a @ x + self.b @ u, self.c @ x + self.d @ u
+
+
+node_apply = SystemNode.apply
+
+
+class ExtendedOperator(SystemNode):
+    """ceil(A11 A12 \\ A21 A22): the system node from loop input e to
+    loop output f, with blocks a, b, c, d = A11, A12, A21, A22.
+
+    Input and output are the one loop channel, so A22 is square.  The
+    dissipativity margin of the assembled matrix and the skew defect are
+    computed lazily; the flags ``dissipative`` and ``skew`` report the
+    verified properties.  The skew test skips its two 2-norms when
+    A + A* is exactly zero.
+    """
+
+    _names = ("A11", "A12", "A21", "A22")
+
     def __init__(self, a11, a12, a21, a22):
-        self.a11 = as_complex_matrix(a11, "A11")
-        self.a12 = as_complex_matrix(a12, "A12")
-        self.a21 = as_complex_matrix(a21, "A21")
-        self.a22 = as_complex_matrix(a22, "A22")
-        n1, n2 = self.a11.shape[-1], self.a22.shape[-1]
-        if self.a11.shape[-2:] != (n1, n1) or self.a22.shape[-2:] != (n2, n2):
-            raise ValueError("diagonal blocks must be square")
-        if self.a12.shape[-2:] != (n1, n2):
-            raise ValueError("A12 must be %s, got %s" % ((n1, n2), self.a12.shape))
-        if self.a21.shape[-2:] != (n2, n1):
-            raise ValueError("A21 must be %s, got %s" % ((n2, n1), self.a21.shape))
-        self.n1 = n1
-        self.n2 = n2
+        super().__init__(a11, a12, a21, a22)
+        if self.ninputs != self.noutputs:
+            raise ValueError("A22 must be square, got shape %s"
+                             % (self.d.shape,))
 
     @cached_property
     def matrix(self):
-        """The assembled (n1+n2)-square matrix."""
-        return np.block([[self.a11, self.a12], [self.a21, self.a22]])
+        """The assembled (nstates + ninputs)-square matrix."""
+        return np.block([[self.a, self.b], [self.c, self.d]])
 
     @cached_property
     def margin(self):
@@ -81,44 +115,6 @@ class ExtendedOperator(object):
             exact = exact | (op_norm(defect) <= 1e-10 * (1.0 + op_norm(full)))
         return _per_member(exact, full)
 
-    def apply(self, x, e):
-        """Apply the assembled operator to (x, e), returning (z, f)."""
-        x = np.asarray(x).reshape(-1)
-        e = np.asarray(e).reshape(-1)
-        if x.shape[0] != self.n1 or e.shape[0] != self.n2:
-            raise ValueError("vector dimensions do not match (n1, n2)")
-        z = self.a11 @ x + self.a12 @ e
-        f = self.a21 @ x + self.a22 @ e
-        return z, f
-
-
-class SystemNode(object):
-    """Finite-dimensional system node ceil(A&B \\ C&D).
-
-    Maps (state, input) to (state derivative, output):
-    z = A x + B u, y = C x + D u.
-    """
-
-    def __init__(self, a, b, c, d):
-        self.a = as_complex_matrix(a, "A")
-        self.b = as_complex_matrix(b, "B")
-        self.c = as_complex_matrix(c, "C")
-        self.d = as_complex_matrix(d, "D")
-        n = self.a.shape[-1]
-        if self.a.shape[-2:] != (n, n):
-            raise ValueError("A must be square")
-        m = self.b.shape[-1]
-        p = self.c.shape[-2]
-        if self.b.shape[-2:] != (n, m):
-            raise ValueError("B must have %d rows" % n)
-        if self.c.shape[-2:] != (p, n):
-            raise ValueError("C must have %d columns" % n)
-        if self.d.shape[-2:] != (p, m):
-            raise ValueError("D must be %s, got %s" % ((p, m), self.d.shape))
-        self.nstates = n
-        self.ninputs = m
-        self.noutputs = p
-
 
 def external_cayley(ext):
     """External Cayley system transform of an extended operator.
@@ -134,22 +130,19 @@ def external_cayley(ext):
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("external_cayley expects an ExtendedOperator")
-    ident = np.eye(ext.n2, dtype=ext.a22.dtype)
-    if not ext.a22.any():
+    a11, a12, a21, a22 = ext.a, ext.b, ext.c, ext.d
+    ident = np.eye(ext.ninputs, dtype=a22.dtype)
+    if not a22.any():
         # A22 = 0 reduction: W = I exactly, and D = I + A22 = I
-        a = ext.a11 + ext.a12 @ ext.a21
-        return SystemNode(a, _SQRT2 * ext.a12, _SQRT2 * ext.a21,
-                          ident + ext.a22)
-    w = SvdFactor(ident - ext.a22, "I - A22")
+        return SystemNode(a11 + a12 @ a21, _SQRT2 * a12, _SQRT2 * a21,
+                          ident + a22)
+    w = SvdFactor(ident - a22, "I - A22")
     _refuse(w.singular, "I - A22 is singular to working precision; "
                         "the extended operator is not maximal dissipative "
                         "in the required sense")
-    a12_winv = w.rsolve(ext.a12)
-    a = ext.a11 + a12_winv @ ext.a21
-    b = _SQRT2 * a12_winv
-    c = _SQRT2 * w.solve(ext.a21)
-    d = w.rsolve(ident + ext.a22)
-    return SystemNode(a, b, c, d)
+    a12_winv = w.rsolve(a12)
+    return SystemNode(a11 + a12_winv @ a21, _SQRT2 * a12_winv,
+                      _SQRT2 * w.solve(a21), w.rsolve(ident + a22))
 
 
 def passivity_check(node, tol=1e-9):
@@ -174,18 +167,3 @@ def passivity_check(node, tol=1e-9):
     block = (block + block.conj().mT) / 2.0
     # eigvalsh sorts ascending, so the last eigenvalue is the largest
     return _per_member(np.linalg.eigvalsh(block)[..., -1], a)
-
-
-def node_apply(node, x, u):
-    """Evaluate (z, y) = (A x + B u, C x + D u)."""
-    x = np.asarray(x).reshape(-1)
-    u = np.asarray(u).reshape(-1)
-    if x.shape[0] != node.nstates:
-        raise ValueError("state has dimension %d, expected %d"
-                         % (x.shape[0], node.nstates))
-    if u.shape[0] != node.ninputs:
-        raise ValueError("input has dimension %d, expected %d"
-                         % (u.shape[0], node.ninputs))
-    z = node.a @ x + node.b @ u
-    y = node.c @ x + node.d @ u
-    return z, y

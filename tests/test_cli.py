@@ -216,6 +216,15 @@ class TestKeyTable:
         assert [name for name in names if name not in stats] == []
 
 
+def test_pyproject_names_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(REPO, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["name"] == "semilab"
+    assert project["version"] == semilab.__version__
+    assert project["scripts"]["semilab"] == "semilab.cli:main"
+
+
 class TestRunVerify:
     def test_all_checks_pass(self):
         report = run_verify(parse_config(VERIFY_TEXT))

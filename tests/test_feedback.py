@@ -31,17 +31,17 @@ def scalar_ext(a11, a12, a21, a22):
 class TestInternalLoop:
     def test_zero_a22_closed_form(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
-        ext0 = ExtendedOperator(ext.a11, ext.a12, ext.a21, np.zeros((2, 2)))
+        ext0 = ExtendedOperator(ext.a, ext.b, ext.c, np.zeros((2, 2)))
         s = random_accretive(rng, 2, floor=0.05)
         result = internal_loop(ext0, s)
-        assert np.allclose(result.a_s, ext.a11 + ext.a12 @ s @ ext.a21)
+        assert np.allclose(result.a_s, ext.a + ext.b @ s @ ext.c)
         assert result.loop_solve_condition == pytest.approx(1.0)
 
     def test_general_a22(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
         s = random_accretive(rng, 2, floor=0.05)
-        w = np.eye(2) - ext.a22 @ s
-        ref = ext.a11 + ext.a12 @ s @ np.linalg.solve(w, ext.a21)
+        w = np.eye(2) - ext.d @ s
+        ref = ext.a + ext.b @ s @ np.linalg.solve(w, ext.c)
         assert np.allclose(internal_loop(ext, s).a_s, ref)
 
     def test_shape_mismatch(self, rng):
@@ -75,6 +75,18 @@ class TestInternalLoop:
         ext = scalar_ext(0.0, 1j, 0.0, -1j)
         result = internal_loop(ext, np.array([[1j]]))
         assert result.a_s is None
+
+
+def test_misfit_feedback_names_the_node_channel(rng):
+    # S and K map the node's output to its input: (ninputs, noutputs)
+    with pytest.raises(ValueError,
+                       match=r"^S must be \(2, 2\), got shape \(3, 3\)$"):
+        internal_loop(random_dissipative_ext(rng, 3, 2), np.eye(3))
+    node = SystemNode(np.zeros((1, 1)), np.zeros((1, 2)),
+                      np.zeros((3, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError,
+                       match=r"^K must be \(2, 3\), got shape \(3, 2\)$"):
+        check_admissible(node, np.zeros((3, 2)))
 
 
 class TestCheckAdmissible:

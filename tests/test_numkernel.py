@@ -120,7 +120,7 @@ class TestSvdFactor:
 
     def test_one_svd_per_construction(self, rng, svd_calls):
         ext = random_dissipative_ext(rng, 3, 2)
-        assert ext.a22.any()
+        assert ext.d.any()
         node = external_cayley(ext)
         k = random_contraction(rng, 2, margin=0.2)
         s = np.eye(2) + random_matrix(rng, 2) / 4
@@ -140,6 +140,12 @@ class TestGram:
     def test_rejects_nonhermitian(self, rng):
         with pytest.raises(ValueError, match="gram matrix is not Hermitian"):
             Gram(random_matrix(rng, 4) + 3 * np.eye(4))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_refuses_a_stack(self, size):
+        with pytest.raises(ValueError, match=r"^gram matrix must be one "
+                           r"matrix, got shape \(%d, 3, 3\)$" % size):
+            Gram(np.stack([np.eye(3)] * size))
 
     def test_accepts_roundoff_skew(self):
         h = np.array([[2.0, 1.0 + 1e-15], [1.0, 2.0]])

@@ -242,11 +242,11 @@ class TestRealBlocks:
         arrays.append(energy_gram(grid, coeffs).matrix)
         for ext in (wave_ext(grid), degenerate_ext(grid, coeffs),
                     neumann_heat_ext(grid, coeffs)):
-            arrays += [ext.a11, ext.a12, ext.a21, ext.a22, ext.matrix]
+            arrays += [ext.a, ext.b, ext.c, ext.d, ext.matrix]
         for builder in (wave_viscous_ext, wave_structural_ext,
                         wave_combined_ext):
             ext, gram, s_op = builder(grid, coeffs)
-            arrays += [ext.a11, ext.a12, ext.a21, ext.a22, gram.matrix,
+            arrays += [ext.a, ext.b, ext.c, ext.d, gram.matrix,
                        s_op.matrix, internal_loop(ext, s_op).a_s]
         arrays += [degenerate_as1(grid, coeffs),
                    degenerate_loop_path(grid, coeffs)]

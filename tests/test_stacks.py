@@ -38,6 +38,7 @@ from semilab.numkernel import (
     op_norm,
     svd_solve,
 )
+from semilab.simkit import cn_step
 from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
@@ -58,7 +59,7 @@ DIMS = st.integers(min_value=1, max_value=8)
 SIZES = st.integers(min_value=1, max_value=5)
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 EXAMPLES = settings(max_examples=15, deadline=None)
-BLOCKS = ("a11", "a12", "a21", "a22")
+BLOCKS = ("a", "b", "c", "d")
 
 
 def assert_members(stacked, singles):
@@ -177,7 +178,7 @@ def test_sysnode_stacks_match_member_loops(n1, n2, size, seed):
         assert_members(getattr(ext, attr), [getattr(e, attr) for e in exts])
     node = external_cayley(ext)
     nodes = [external_cayley(e) for e in exts]
-    for blk in ("a", "b", "c", "d"):
+    for blk in BLOCKS:
         assert_members(getattr(node, blk), [getattr(x, blk) for x in nodes])
     assert_members(passivity_check(node), [passivity_check(x) for x in nodes])
 
@@ -185,16 +186,27 @@ def test_sysnode_stacks_match_member_loops(n1, n2, size, seed):
 def test_zero_a22_stack_takes_the_shortcut(rng):
     # W = I: the node and the loop need no factor, for a stack too
     exts = [random_dissipative_ext(rng, 2, 3) for _ in range(3)]
-    ext, exts = stacked_ext([ExtendedOperator(e.a11, e.a12, e.a21,
+    ext, exts = stacked_ext([ExtendedOperator(e.a, e.b, e.c,
                                               np.zeros((3, 3))) for e in exts])
     node = external_cayley(ext)
     nodes = [external_cayley(e) for e in exts]
-    for blk in ("a", "b", "c", "d"):
+    for blk in BLOCKS:
         assert_members(getattr(node, blk), [getattr(x, blk) for x in nodes])
     assert_members(passivity_check(node), [passivity_check(x) for x in nodes])
     s = np.stack([random_accretive(rng, 3, 0.05) for _ in range(3)])
-    assert_members(internal_loop(ext, s).a_s,
-                   [internal_loop(e, x).a_s for e, x in zip(exts, s)])
+    loop = internal_loop(ext, s)
+    loops = [internal_loop(e, x) for e, x in zip(exts, s)]
+    assert_members(loop.a_s, [r.a_s for r in loops])
+    # one condition number per member, as on the general path
+    assert_members(loop.loop_solve_condition,
+                   [r.loop_solve_condition for r in loops])
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_cn_step_stack_matches_member_steps(rng, size):
+    # the identity takes the members' dimension 3, not the stack's length
+    a = np.stack([random_dissipative(rng, 3) for _ in range(size)])
+    assert_members(cn_step(a, 0.1), [cn_step(x, 0.1) for x in a])
 
 
 @given(DIMS, DIMS, SIZES, SEEDS)
@@ -217,7 +229,7 @@ def test_feedback_stacks_match_member_loops(n1, n2, size, seed):
     closed_one = [check_admissible(*pair) for pair in pairs]
     assert closed.admissible and all(r.admissible for r in closed_one)
     assert_members(closed.m_condition, [r.m_condition for r in closed_one])
-    for blk in ("a", "b", "c", "d"):
+    for blk in BLOCKS:
         assert_members(getattr(closed.closed_loop, blk),
                        [getattr(r.closed_loop, blk) for r in closed_one])
     assert_members(a_s_via_feedback(ext, s),
@@ -280,7 +292,7 @@ class TestStackErrorsNameTheMember:
     def test_singular_i_minus_a22(self, rng, j):
         exts = [random_dissipative_ext(rng, 1, 1) for _ in range(3)]
         blocks = [with_member([getattr(e, b) for e in exts], j,
-                              np.eye(1) if b == "a22" else 0.0)
+                              np.eye(1) if b == "d" else 0.0)
                   for b in BLOCKS]
         assert_names_member(
             lambda *blocks: external_cayley(ExtendedOperator(*blocks)),
@@ -291,7 +303,7 @@ class TestStackErrorsNameTheMember:
         # the loop by its rank-revealing split; a stack names the member
         exts = [random_dissipative_ext(rng, 1, 1) for _ in range(3)]
         blocks = [with_member([getattr(e, b) for e in exts], j,
-                              -1j if b == "a22" else 0.0) for b in BLOCKS]
+                              -1j if b == "d" else 0.0) for b in BLOCKS]
         s = with_member([random_accretive(rng, 1, 0.05) for _ in range(3)],
                         j, 1j)
         ext = ExtendedOperator(*blocks)
@@ -307,7 +319,7 @@ class TestStackErrorsNameTheMember:
         nodes = [external_cayley(random_dissipative_ext(rng, 1, 1))
                  for _ in range(3)]
         blocks = [with_member([getattr(x, b) for x in nodes], j,
-                              1.0 if b == "d" else 0.0) for b in "abcd"]
+                              1.0 if b == "d" else 0.0) for b in BLOCKS]
         k = with_member([random_contraction(rng, 1) for _ in range(3)], j,
                         1.0)
         with pytest.raises(ValueError, match=r"^stack member %d: I - K D is "

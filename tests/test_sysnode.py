@@ -55,8 +55,8 @@ class TestExtendedOperator:
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z, f = ext.apply(x, e)
-        assert np.allclose(z, ext.a11 @ x + ext.a12 @ e)
-        assert np.allclose(f, ext.a21 @ x + ext.a22 @ e)
+        assert np.allclose(z, ext.a @ x + ext.b @ e)
+        assert np.allclose(f, ext.c @ x + ext.d @ e)
 
 
 class TestSystemNode:
@@ -72,6 +72,40 @@ class TestSystemNode:
         z, y = node_apply(node, x, u)
         assert np.allclose(z, node.a @ x + node.b @ u)
         assert np.allclose(y, node.c @ x + node.d @ u)
+
+
+class TestOneBlockCarrier:
+    # state dimension 2, input and output dimension 1; each misfit is
+    # found at its own block
+    FITTING = ((2, 2), (2, 1), (1, 2), (1, 1))
+    MISFITS = ((2, 3), (3, 1), (1, 3), (1, 2))
+
+    def test_extended_operator_is_a_system_node(self):
+        ext = wave_toy()
+        assert isinstance(ext, SystemNode)
+        assert SystemNode.apply is node_apply
+        assert ExtendedOperator.apply is node_apply
+        assert (ext.nstates, ext.ninputs, ext.noutputs) == (1, 1, 1)
+
+    @pytest.mark.parametrize("cls, names", [
+        (SystemNode, ("A", "B", "C", "D")),
+        (ExtendedOperator, ("A11", "A12", "A21", "A22")),
+    ], ids=["node", "extended"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_misfit_names_its_block(self, cls, names, index):
+        shapes = list(self.FITTING)
+        shapes[index] = self.MISFITS[index]
+        with pytest.raises(ValueError, match=r"^%s must be \(.*\), got shape "
+                           % names[index]):
+            cls(*(np.zeros(shape) for shape in shapes))
+
+    def test_extended_loop_channel_is_square(self):
+        blocks = [np.zeros(shape) for shape in ((2, 2), (2, 2), (1, 2),
+                                                (1, 2))]
+        assert SystemNode(*blocks).ninputs == 2
+        with pytest.raises(ValueError,
+                           match=r"^A22 must be square, got shape \(1, 2\)$"):
+            ExtendedOperator(*blocks)
 
 
 class TestExternalCayley:
@@ -94,6 +128,14 @@ class TestExternalCayley:
         zero = np.zeros((1, 1), dtype=complex)
         ext = ExtendedOperator(zero, zero, zero, np.array([[1.0 + 0j]]))
         with pytest.raises(ValueError):
+            external_cayley(ext)
+
+    def test_overflowed_block_is_refused_by_name(self):
+        # the node constructor's coercion is the guard: A = A12 W^{-1} A21
+        # overflows, and the error names the block instead of returning inf
+        ext = ExtendedOperator([[0.0]], [[1e200]], [[1e200]], [[0.5]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="^A has non-finite entries$"):
             external_cayley(ext)
 
     def test_direct_relation_on_random_points(self, rng):
@@ -122,12 +164,12 @@ class TestExternalCayley:
     def test_nonzero_a22_matches_block_formula(self, rng):
         ext = random_dissipative_ext(rng, 4, 3)
         node = external_cayley(ext)
-        w = np.eye(3) - ext.a22
+        w = np.eye(3) - ext.d
         winv = np.linalg.inv(w)
-        assert np.allclose(node.a, ext.a11 + ext.a12 @ winv @ ext.a21)
-        assert np.allclose(node.b, np.sqrt(2.0) * ext.a12 @ winv)
-        assert np.allclose(node.c, np.sqrt(2.0) * winv @ ext.a21)
-        assert np.allclose(node.d, (np.eye(3) + ext.a22) @ winv)
+        assert np.allclose(node.a, ext.a + ext.b @ winv @ ext.c)
+        assert np.allclose(node.b, np.sqrt(2.0) * ext.b @ winv)
+        assert np.allclose(node.c, np.sqrt(2.0) * winv @ ext.c)
+        assert np.allclose(node.d, (np.eye(3) + ext.d) @ winv)
 
 
 class TestPassivityCheck:
