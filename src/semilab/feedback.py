@@ -6,12 +6,14 @@ same operator arises from the external Cayley node by closing the static
 output feedback u = K y + v with K the Cayley transform of S; computing
 it both ways and comparing is the package's main theorem check.
 
-Inadmissibility of a feedback and unsolvability of a loop are ordinary
-result states, not exceptions: the corrected diag(0, -i) fixture has an
-inadmissible K while its loop is perfectly solvable (A_S = 0).  Stacks
-of operators (..., n, n) go through the same code, but those result
-states belong to one matrix: a stack with a singular I - A22 S or
-I - K D raises a ValueError naming the first such member.
+Both close u = K y (K = S on the extended operator) through sysnode's
+one loop factor I - K D.  Inadmissibility of a feedback and
+unsolvability of a loop are ordinary result states, not exceptions: the
+corrected diag(0, -i) fixture has an inadmissible K while its loop is
+perfectly solvable (A_S = 0).  Stacks of operators (..., n, n) go
+through the same code, but those result states belong to one matrix: a
+stack with a singular I - S A22 or I - K D raises a ValueError naming
+the first such member.
 """
 
 from collections import namedtuple
@@ -19,8 +21,8 @@ from collections import namedtuple
 import numpy as np
 
 from .cayley import AccretiveOperator, ContractionOperator, cayley_of_accretive
-from .numkernel import SvdFactor, _per_member, as_complex_matrix, op_norm
-from .sysnode import ExtendedOperator, SystemNode, external_cayley
+from .numkernel import as_complex_matrix, op_norm
+from .sysnode import ExtendedOperator, SystemNode, _loop_solve, external_cayley
 
 __all__ = [
     "FeedbackResult",
@@ -47,8 +49,8 @@ InternalLoopResult.__doc__ = """Outcome of the internal loop through S.
 a_s is the nstates-square matrix when the loop effect is uniquely
 determined, None when the loop is unsolvable (empty or multi-valued);
 loop_solve_condition is the unit-anchored condition number
-max(sigma_max, 1) / sigma_min of I - A22 S (see numkernel.SvdFactor),
-1.0 per member on the A22 = 0 shortcut where the factor is I.
+max(sigma_max, 1) / sigma_min of I - S A22 (see numkernel.SvdFactor),
+1.0 per member when S A22 = 0 and the factor is I.
 """
 
 
@@ -76,46 +78,33 @@ def _feedback_matrix(op, node, name):
 def internal_loop(ext, s):
     """Close the internal loop e = S f of an extended operator.
 
-    A_S = A + B S (I - D S)^{-1} C, check_admissible's A^f with K = S,
-    computed as A11 + A12 S W^{-1} A21 with W = I - A22 S.  A singular W
-    is a legitimate outcome, not an error: the loop is still solvable
-    when A21 maps into the range of W and the kernel ambiguity is
-    annihilated by A12 S (rank-revealing test); otherwise a_s is None
-    because the loop is empty or multi-valued on part of the state space.
+    A_S = A11 + A12 X with X = V^{-1} S A21 and V = I - S A22: the main
+    operator of check_admissible's closure with K = S.  A singular V is
+    a legitimate outcome, not an error.  A rank-revealing split of
+    V e = S A21 x decides it: the loop is solvable when S A21 maps into
+    the range of V, and unique when A12 annihilates the kernel of V.
+    Otherwise a_s is None, because the loop is empty or multi-valued on
+    part of the state space.
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("internal_loop expects an ExtendedOperator")
     sm = _feedback_matrix(s, ext, "S")
-    a11, a12, a21, a22 = ext.a, ext.b, ext.c, ext.d
-    if not a22.any():
-        # triangular case: f = A21 x directly, and W = I for every member
-        a_s = a11 + a12 @ (sm @ a21)
-        return InternalLoopResult(a_s,
-                                  _per_member(np.ones(a_s.shape[:-2]), a_s))
-    n2 = ext.ninputs
-    w = SvdFactor(np.eye(n2) - a22 @ sm, "I - A22 S", unit_anchor=True)
-    if np.ndim(w.cond) or not w.singular:
-        # a stack solves every member or names its first singular one
-        return InternalLoopResult(a11 + a12 @ (sm @ w.solve(a21)), w.cond)
-    # rank-revealing split of one singular loop equation
-    u, sv, vh = w.u, w.sv, w.vh
-    scale = sv[0] if len(sv) and sv[0] > 0.0 else 1.0
-    rank = int(np.sum(sv > scale * n2 * np.finfo(float).eps * 10))
-    u_r, sv_r, vh_r = u[:, :rank], sv[:rank], vh[:rank]
-    # solvable for every x iff range(A21) lies in range(W)
-    residual = a21 - u_r @ (u_r.conj().T @ a21)
-    if op_norm(residual) > 1e-10 * (1.0 + op_norm(a21)):
-        return InternalLoopResult(None, w.cond)
-    # unique effect iff A12 S annihilates the kernel ambiguity of f
-    kernel = vh[rank:].conj().T
-    if kernel.size and op_norm(a12 @ (sm @ kernel)) > \
-            1e-10 * (1.0 + op_norm(a12 @ sm)):
-        return InternalLoopResult(None, w.cond)
-    if rank:
-        f = vh_r.conj().T @ ((u_r.conj().T @ a21) / sv_r[:, None])
-    else:
-        f = np.zeros((n2, ext.nstates))
-    return InternalLoopResult(a11 + a12 @ (sm @ f), w.cond)
+    v, cond, x = _loop_solve(ext, sm, "I - S A22")
+    if x is None:
+        rhs = sm @ ext.c
+        scale = v.sv[0] if v.sv[0] > 0.0 else 1.0
+        rank = int(np.sum(v.sv > scale * len(v.sv) * np.finfo(float).eps * 10))
+        u_r = v.u[:, :rank]
+        # solvable for every x iff range(S A21) lies in range(V)
+        residual = rhs - u_r @ (u_r.conj().T @ rhs)
+        if op_norm(residual) > 1e-10 * (1.0 + op_norm(rhs)):
+            return InternalLoopResult(None, cond)
+        # unique effect iff A12 annihilates the kernel of V
+        if op_norm(ext.b @ v.vh[rank:].conj().T) > \
+                1e-10 * (1.0 + op_norm(ext.b)):
+            return InternalLoopResult(None, cond)
+        x = v.vh[:rank].conj().T @ ((u_r.conj().T @ rhs) / v.sv[:rank, None])
+    return InternalLoopResult(ext.a + ext.b @ x, cond)
 
 
 def check_admissible(node, k):
@@ -135,17 +124,13 @@ def check_admissible(node, k):
     if not isinstance(node, SystemNode):
         raise TypeError("check_admissible expects a SystemNode")
     km = _feedback_matrix(k, node, "K")
-    # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
-    # so a uniformly tiny factor signals an unbounded loop, not a benign one
-    kd = SvdFactor(np.eye(node.ninputs) - km @ node.d, "I - K D",
-                   unit_anchor=True)
-    if not np.ndim(kd.cond) and kd.singular:
-        return FeedbackResult(False, None, kd.cond)
-    # a stack solves every member or names its first singular one
-    x = kd.solve(km @ node.c)
-    closed = SystemNode(node.a + node.b @ x, kd.rsolve(node.b),
-                        node.c + node.d @ x, kd.rsolve(node.d))
-    return FeedbackResult(True, closed, kd.cond)
+    kd, cond, x = _loop_solve(node, km, "I - K D")
+    if x is None:
+        return FeedbackResult(False, None, cond)
+    b, d = (node.b, node.d) if kd is None else \
+        (kd.rsolve(node.b), kd.rsolve(node.d))
+    closed = SystemNode(node.a + node.b @ x, b, node.c + node.d @ x, d)
+    return FeedbackResult(True, closed, cond)
 
 
 def a_s_via_feedback(ext, s):

@@ -19,12 +19,12 @@ overhead, not arithmetic, is the cost of a tiny matrix.
 
 One singularity rule serves the whole package: a matrix is singular to
 working precision when the condition number from its singular values is
-not below COND_LIMIT, anchored at unit scale for the loop factors
-I - A22 S and I - K D.  The Cayley and feedback constructions factor
-each matrix once through ``SvdFactor``, which keeps the singular
-vectors; the one-shot ``svd_solve`` reads the singular values only and
-solves by LU.  ``expm`` and ``Gram`` solve against (13, 13) Pade
-denominators and Cholesky factors with numpy directly.
+not below COND_LIMIT, anchored at unit scale for the loop factor
+I - K D.  The Cayley and feedback constructions factor each matrix once
+through ``SvdFactor``, which keeps the singular vectors; the one-shot
+``svd_solve`` reads the singular values only and solves by LU.  ``expm``
+and ``Gram`` solve against (13, 13) Pade denominators and Cholesky
+factors with numpy directly.
 """
 
 import math
@@ -101,7 +101,7 @@ def as_complex_matrix(a, name="matrix"):
 def _square(a, name="matrix"):
     m = as_complex_matrix(a, name)
     if m.shape[-2] != m.shape[-1]:
-        raise ValueError("%s must be square, got shape %s" % (name, (m.shape,)))
+        raise ValueError("%s must be square, got shape %s" % (name, m.shape))
     return m
 
 

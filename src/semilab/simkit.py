@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .numkernel import Gram, as_complex_matrix, expm, svd_solve
+from .numkernel import Gram, _square, as_complex_matrix, expm, svd_solve
 from .sysnode import SystemNode
 
 __all__ = [
@@ -44,7 +44,7 @@ def cn_step(a, dt):
     For dissipative A this is a contraction for every dt > 0.  Raises
     ValueError when the resolvent factor is numerically singular.
     """
-    m = as_complex_matrix(a, "A")
+    m = _square(a, "A")
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)

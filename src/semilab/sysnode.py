@@ -1,10 +1,12 @@
-"""System nodes and the external Cayley transform of extended operators.
+"""System nodes, the one loop closure, and the external Cayley transform.
 
 A system node (A, B, C, D) maps (state, input) to (state derivative,
 output).  An extended operator ceil(A11 A12 \\ A21 A22) is the system
-node from the loop input e to the loop output f, so the internal loop
-e = S f is static output feedback.  The external Cayley system transform
-rewires (e, f) into u = (e - f)/sqrt(2), y = (e + f)/sqrt(2), turning a
+node from the loop input e to the loop output f.  Every loop in the
+package is the output feedback u = K y of a node, solved through one
+factor I - K D in ``_loop_solve``: the internal loop e = S f is K = S,
+and the external Cayley system transform, which rewires (e, f) into
+u = (e - f)/sqrt(2), y = (e + f)/sqrt(2), is K = I rescaled.  It turns a
 dissipative extended operator into a scattering-passive node, certified
 by the eigenvalue of an exact LMI block form rather than by trajectories.
 Blocks may be stacks (..., rows, cols) with one batch shape; the flags,
@@ -18,7 +20,7 @@ import numpy as np
 from .numkernel import (
     SvdFactor,
     _per_member,
-    _refuse,
+    _require_regular,
     as_complex_matrix,
     dissipativity_margin,
     op_norm,
@@ -40,8 +42,8 @@ class SystemNode(object):
 
     Maps (state, input) to (state derivative, output):
     z = A x + B u, y = C x + D u.  The constructor coerces and
-    shape-checks the four blocks; its messages name them by the class's
-    ``_names``.
+    shape-checks the four blocks, stack axes included (those of A); its
+    messages name them by the class's ``_names``.
     """
 
     _names = ("A", "B", "C", "D")
@@ -50,11 +52,12 @@ class SystemNode(object):
         blocks = [as_complex_matrix(m, name)
                   for m, name in zip((a, b, c, d), self._names)]
         n, m, p = blocks[0].shape[-1], blocks[1].shape[-1], blocks[2].shape[-2]
+        batch = blocks[0].shape[:-2]
         for block, name, shape in zip(blocks, self._names,
                                       ((n, n), (n, m), (p, n), (p, m))):
-            if block.shape[-2:] != shape:
+            if block.shape != batch + shape:
                 raise ValueError("%s must be %s, got shape %s"
-                                 % (name, shape, block.shape))
+                                 % (name, batch + shape, block.shape))
         self.a, self.b, self.c, self.d = blocks
         self.nstates, self.ninputs, self.noutputs = n, m, p
 
@@ -116,36 +119,48 @@ class ExtendedOperator(SystemNode):
         return _per_member(exact, full)
 
 
+def _loop_solve(node, km, name):
+    """Solve the loop u = K y of a node: (factor, cond, X).
+
+    X = (I - K D)^{-1} K C; the factor is the package's one SVD of a loop
+    factor, named ``name``, with the unit-anchored cond.  When K D is
+    exactly zero there is no SVD: factor None, cond 1.0 per member.  X is
+    None when one matrix is singular; a stack names its first singular
+    member in a ValueError.
+    """
+    if not node.d.any() or not (kd := km @ node.d).any():
+        x = km @ node.c
+        return None, _per_member(np.ones(x.shape[:-2]), x), x
+    # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
+    # so a uniformly tiny factor signals an unbounded loop, not a benign one
+    factor = SvdFactor(np.eye(node.ninputs) - kd, name, unit_anchor=True)
+    if not np.ndim(factor.cond) and factor.singular:
+        return factor, factor.cond, None
+    return factor, factor.cond, factor.solve(km @ node.c)
+
+
 def external_cayley(ext):
     """External Cayley system transform of an extended operator.
 
-    With W = I - A22 (invertible whenever ext is maximal dissipative),
-    the node blocks are
-
-        A = A11 + A12 W^{-1} A21,     B = sqrt(2) A12 W^{-1},
-        C = sqrt(2) W^{-1} A21,       D = (I + A22) W^{-1},
-
-    the block elimination of u = (e - f)/sqrt(2), y = (e + f)/sqrt(2).
-    When ext is dissipative the resulting node passes passivity_check.
+    u = (e - f)/sqrt(2), y = (e + f)/sqrt(2) is the output feedback
+    e = f + sqrt(2) u, K = I, rescaled: with W = I - A22 and the closure
+    X = W^{-1} A21 = C^f, B^f = A12 W^{-1}, D^f = A22 W^{-1}, the node is
+    (A11 + A12 X, sqrt(2) B^f, sqrt(2) X, I + 2 D^f).  W is invertible
+    whenever ext is maximal dissipative, and then the node passes
+    passivity_check; a singular W raises ValueError.
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("external_cayley expects an ExtendedOperator")
-    a11, a12, a21, a22 = ext.a, ext.b, ext.c, ext.d
-    ident = np.eye(ext.ninputs, dtype=a22.dtype)
-    if not a22.any():
-        # A22 = 0 reduction: W = I exactly, and D = I + A22 = I
-        return SystemNode(a11 + a12 @ a21, _SQRT2 * a12, _SQRT2 * a21,
-                          ident + a22)
-    w = SvdFactor(ident - a22, "I - A22")
-    _refuse(w.singular, "I - A22 is singular to working precision; "
-                        "the extended operator is not maximal dissipative "
-                        "in the required sense")
-    a12_winv = w.rsolve(a12)
-    return SystemNode(a11 + a12_winv @ a21, _SQRT2 * a12_winv,
-                      _SQRT2 * w.solve(a21), w.rsolve(ident + a22))
+    ident = np.eye(ext.ninputs, dtype=ext.d.dtype)
+    w, cond, x = _loop_solve(ext, ident, "I - A22")
+    if x is None:
+        _require_regular("I - A22", cond)
+    b, d = (ext.b, ext.d) if w is None else (w.rsolve(ext.b), w.rsolve(ext.d))
+    return SystemNode(ext.a + ext.b @ x, _SQRT2 * b, _SQRT2 * x,
+                      ident + 2.0 * d)
 
 
-def passivity_check(node, tol=1e-9):
+def passivity_check(node):
     """Largest eigenvalue of the scattering-passivity LMI block form.
 
     Returns lambda_max of
@@ -155,7 +170,7 @@ def passivity_check(node, tol=1e-9):
 
     the quadratic form of the pointwise passivity inequality
     2 Re <z, x> <= ||u||^2 - ||y||^2 expanded over (x, u).  The node is
-    scattering passive iff the returned value is at most ``tol``.
+    scattering passive iff the returned value is at most 1e-9.
     """
     a, b, c, d = node.a, node.b, node.c, node.d
     m = node.ninputs

@@ -195,3 +195,94 @@ class TestLoopVsFeedback:
         direct = internal_loop(ext, s).a_s
         via = a_s_via_feedback(ext, s)
         assert op_norm(via - direct) <= 1e-9 * (1 + op_norm(direct))
+
+
+def stacked_ext(rng, count, n1, n2):
+    exts = [random_dissipative_ext(rng, n1, n2) for _ in range(count)]
+    return ExtendedOperator(*(np.stack([getattr(e, b) for e in exts])
+                              for b in ("a", "b", "c", "d")))
+
+
+def loop_fixture(a12, a21):
+    # V = I - S A22 = diag(1, 0, 1) has rank 2 with kernel e2 and range
+    # span(e1, e3); W = I - A22 S = [[1, 0.5, 0], [0, 0, 0], [0, 0, 1]]
+    # has the kernel S^{-1} e2.  Solvable iff row 2 of S A21 (= row 2 of
+    # A21) is zero, unique iff column 2 of A12 is zero.
+    s = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    a22 = np.array([[0.0, -0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    ext = ExtendedOperator(np.diag([-1.0, -2.0]), a12, a21, a22)
+    return ext, s
+
+
+class TestOneClosure:
+    """internal_loop, external_cayley and check_admissible close the
+    same loop u = K y: K = S, K = I rescaled, and K."""
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_internal_loop_is_the_feedback_closure(self, rng, count):
+        if count is None:
+            ext = random_dissipative_ext(rng, 3, 2)
+            s = random_accretive(rng, 2, floor=0.05)
+        else:
+            ext = stacked_ext(rng, count, 3, 2)
+            s = np.stack([random_accretive(rng, 2, floor=0.05)
+                          for _ in range(count)])
+        assert ext.d.any()
+        a_s = internal_loop(ext, s).a_s
+        dense = ext.a + ext.b @ s @ np.linalg.inv(np.eye(2) - ext.d @ s) \
+            @ ext.c
+        assert np.allclose(a_s, check_admissible(ext, s).closed_loop.a,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(a_s, dense, rtol=1e-12, atol=1e-12)
+
+    def test_external_cayley_is_the_unit_feedback_rescaled(self, rng):
+        ext = random_dissipative_ext(rng, 4, 3)
+        node = external_cayley(ext)
+        closed = check_admissible(ext, np.eye(3)).closed_loop
+        for got, want in ((node.a, closed.a),
+                          (node.b, np.sqrt(2.0) * closed.b),
+                          (node.c, np.sqrt(2.0) * closed.c),
+                          (node.d, np.eye(3) + 2.0 * closed.d)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_singular_loop_solvable_and_unique(self):
+        ext, s = loop_fixture(np.array([[1.0, 0.0, 1.0], [2.0, 0.0, -1.0]]),
+                              np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
+        result = internal_loop(ext, s)
+        assert result.loop_solve_condition == np.inf
+        assert np.allclose(result.a_s, [[4.0, 3.0], [1.0, 7.0]],
+                           rtol=0.0, atol=1e-14)
+
+    def test_singular_loop_unsolvable(self):
+        # row 2 of S A21 leaves the range of V
+        ext, s = loop_fixture(np.array([[1.0, 0.0, 1.0], [2.0, 0.0, -1.0]]),
+                              np.array([[1.0, 2.0], [1.0, 0.0], [3.0, -1.0]]))
+        assert internal_loop(ext, s).a_s is None
+
+    def test_singular_loop_not_unique(self):
+        # A12 sees the kernel of V
+        ext, s = loop_fixture(np.array([[1.0, 1.0, 1.0], [2.0, 0.0, -1.0]]),
+                              np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
+        assert internal_loop(ext, s).a_s is None
+
+    def test_zero_loop_products_need_no_svd(self, rng, svd_calls):
+        ext = random_dissipative_ext(rng, 3, 2)
+        ext0 = ExtendedOperator(ext.a, ext.b, ext.c, np.zeros((2, 2)))
+        s = random_accretive(rng, 2, floor=0.05)
+        node = SystemNode(np.zeros((1, 1)), np.ones((1, 1)),
+                          np.ones((2, 1)), np.array([[1e7], [0.0]]))
+        del svd_calls[:]
+        internal_loop(ext0, s)
+        external_cayley(ext0)
+        assert check_admissible(node, np.array([[0.0, 1.0]])).admissible
+        assert svd_calls == []
+
+    def test_nonzero_a22_factors_once_per_call(self, rng, svd_calls):
+        ext = random_dissipative_ext(rng, 3, 2)
+        s = random_accretive(rng, 2, floor=0.05)
+        for call in (lambda: internal_loop(ext, s),
+                     lambda: external_cayley(ext),
+                     lambda: check_admissible(ext, s)):
+            del svd_calls[:]
+            call()
+            assert len(svd_calls) == 1

@@ -58,6 +58,11 @@ class TestCnStep:
         with pytest.raises(ValueError):
             cn_step(np.zeros((2, 2)), 0.0)
 
+    def test_rejects_non_square_generator(self):
+        with pytest.raises(ValueError,
+                           match=r"^A must be square, got shape \(2, 3\)$"):
+            cn_step(np.zeros((2, 3)), 0.1)
+
     def test_one_singular_value_svd(self, rng, svd_calls):
         cn_step(random_dissipative(rng, 6), 0.5)
         assert svd_calls == [{"compute_uv": False}]

@@ -299,7 +299,7 @@ class TestStackErrorsNameTheMember:
             blocks, j)
 
     def test_singular_loop(self, rng, j):
-        # diag(0, -i) with S = i: W = I - A22 S = 0.  One matrix resolves
+        # diag(0, -i) with S = i: V = I - S A22 = 0.  One matrix resolves
         # the loop by its rank-revealing split; a stack names the member
         exts = [random_dissipative_ext(rng, 1, 1) for _ in range(3)]
         blocks = [with_member([getattr(e, b) for e in exts], j,
@@ -307,7 +307,7 @@ class TestStackErrorsNameTheMember:
         s = with_member([random_accretive(rng, 1, 0.05) for _ in range(3)],
                         j, 1j)
         ext = ExtendedOperator(*blocks)
-        with pytest.raises(ValueError, match=r"^stack member %d: I - A22 S "
+        with pytest.raises(ValueError, match=r"^stack member %d: I - S A22 "
                            "is singular to working precision" % j):
             internal_loop(ext, s)
         one = internal_loop(ExtendedOperator(*(b[j] for b in blocks)), s[j])

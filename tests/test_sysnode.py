@@ -99,6 +99,17 @@ class TestOneBlockCarrier:
                            % names[index]):
             cls(*(np.zeros(shape) for shape in shapes))
 
+    def test_stack_axes_must_agree(self):
+        # every block carries the stack axes of the first one
+        with pytest.raises(ValueError, match=r"^A12 must be \(2, 2, 1\), "
+                           r"got shape \(3, 2, 1\)$"):
+            ExtendedOperator(np.zeros((2, 2, 2)), np.zeros((3, 2, 1)),
+                             np.zeros((2, 1, 2)), np.zeros((2, 1, 1)))
+        with pytest.raises(ValueError, match=r"^D must be \(2, 1, 1\), "
+                           r"got shape \(1, 1\)$"):
+            SystemNode(np.zeros((2, 2, 2)), np.zeros((2, 2, 1)),
+                       np.zeros((2, 1, 2)), np.zeros((1, 1)))
+
     def test_extended_loop_channel_is_square(self):
         blocks = [np.zeros(shape) for shape in ((2, 2), (2, 2), (1, 2),
                                                 (1, 2))]
@@ -127,7 +138,8 @@ class TestExternalCayley:
         # a22 = 1 makes I - a22 singular: not maximal dissipative data
         zero = np.zeros((1, 1), dtype=complex)
         ext = ExtendedOperator(zero, zero, zero, np.array([[1.0 + 0j]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^I - A22 is singular to "
+                           r"working precision \(cond=inf\)$"):
             external_cayley(ext)
 
     def test_overflowed_block_is_refused_by_name(self):
