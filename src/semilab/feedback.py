@@ -65,13 +65,17 @@ class InadmissibleFeedbackError(ValueError):
 
 
 def _feedback_matrix(op, node, name):
-    """S or K as a matrix that fits node's output-to-input channel."""
+    """S or K as a matrix that fits node's output-to-input channel.
+
+    One matrix serves every member of a stacked node; a stack must have
+    the node's own stack axes.
+    """
     m = (op.matrix if isinstance(op, (AccretiveOperator, ContractionOperator))
          else as_complex_matrix(op, name))
     shape = (node.ninputs, node.noutputs)
-    if m.shape[-2:] != shape:
+    if m.shape not in (shape, node.a.shape[:-2] + shape):
         raise ValueError("%s must be %s, got shape %s"
-                         % (name, shape, m.shape))
+                         % (name, node.a.shape[:-2] + shape, m.shape))
     return m
 
 

@@ -21,10 +21,15 @@ One singularity rule serves the whole package: a matrix is singular to
 working precision when the condition number from its singular values is
 not below COND_LIMIT, anchored at unit scale for the loop factor
 I - K D.  The Cayley and feedback constructions factor each matrix once
-through ``SvdFactor``, which keeps the singular vectors; the one-shot
-``svd_solve`` reads the singular values only and solves by LU.  ``expm``
-and ``Gram`` solve against (13, 13) Pade denominators and Cholesky
-factors with numpy directly.
+through ``SvdFactor``, which keeps the singular vectors.  A caller that
+already holds a computed inverse decides the rule from it: the
+Frobenius bound ||a||_F ||a^{-1}||_F >= cond(a) settles it with no SVD
+when it is below COND_LIMIT / 100, and the values-only SVD is the
+fallback (``_require_regular_given``, used by the Crank-Nicolson step).
+The one-shot ``svd_solve`` (singular values, then LU) keeps the same
+rule but no longer has a caller in the package.  ``expm`` and ``Gram``
+solve against (13, 13) Pade denominators and Cholesky factors with
+numpy directly.
 """
 
 import math
@@ -139,6 +144,29 @@ def _condition_number(sv, unit_anchor=False):
 def _require_regular(name, cond):
     _refuse(~(np.asarray(cond) < COND_LIMIT),
             "%s is singular to working precision (cond=%%g)" % name, cond)
+
+
+def _require_regular_given(a, inverse, name):
+    """The singularity rule for ``a``, decided from a computed inverse.
+
+    ||a||_F ||inverse||_F >= cond(a): below COND_LIMIT / 100 for every
+    member, ``a`` is regular and no SVD runs.  The slack absorbs the
+    solve's backward error and a residual a inverse - I of up to
+    n eps ||a||_F (an inverse recovered from a computed right-hand side),
+    counted only while that residual is at most 1/4.  Otherwise (no
+    inverse, non-finite entries, an empty matrix) the values-only SVD
+    decides.
+    """
+    n = a.shape[-1]
+    if inverse is not None and n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.linalg.norm(a, axis=(-2, -1))
+            bound = size * np.linalg.norm(inverse, axis=(-2, -1))
+        if np.all((bound < COND_LIMIT / 100.0)
+                  & (size * (n * np.finfo(float).eps) <= 0.25)):
+            return
+    _require_regular(name, _condition_number(
+        np.linalg.svd(a, compute_uv=False)))
 
 
 class SvdFactor(object):

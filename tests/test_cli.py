@@ -495,6 +495,12 @@ class TestMain:
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == []
 
+    def test_simulate_runs_no_values_only_svd(self, tmp_path, svd_calls):
+        # the Crank-Nicolson factor is certified regular by its inverse
+        cfg = self.write_config(tmp_path, "experiment = combined\nn = 16\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert {"compute_uv": False} not in svd_calls
+
     @pytest.mark.parametrize("T, rc", [("1", 0), ("1.01", 2)])
     def test_simulate_step_budget(self, tmp_path, capsys, monkeypatch, T,
                                   rc):

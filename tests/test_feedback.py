@@ -89,6 +89,22 @@ def test_misfit_feedback_names_the_node_channel(rng):
         check_admissible(node, np.zeros((3, 2)))
 
 
+def test_feedback_stack_must_have_the_node_stack_axes(rng):
+    # one S or K serves every member; another stack is refused by name
+    ext = ExtendedOperator(*(np.stack([getattr(
+        random_dissipative_ext(rng, 2, 1), b) for _ in range(3)])
+        for b in ("a", "b", "c", "d")))
+    node = SystemNode(ext.a, ext.b, ext.c, ext.d)
+    assert internal_loop(ext, np.eye(1)).a_s.shape == (3, 2, 2)
+    assert check_admissible(node, 0.5 * np.ones((3, 1, 1))).admissible
+    with pytest.raises(ValueError, match=r"^S must be \(3, 1, 1\), "
+                                         r"got shape \(2, 1, 1\)$"):
+        internal_loop(ext, np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match=r"^K must be \(3, 1, 1\), "
+                                         r"got shape \(2, 1, 1\)$"):
+        check_admissible(node, np.ones((2, 1, 1)))
+
+
 class TestCheckAdmissible:
     def test_admissible_contraction_pair(self, rng):
         node = external_cayley(random_dissipative_ext(rng, 3, 2))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semilab import simkit
 from semilab.feedback import internal_loop
-from semilab.numkernel import Gram, op_norm
+from semilab.numkernel import Gram, op_norm, svd_solve
 from semilab.pdelab import Grid1D, PdeCoefficients, wave_ext, wave_viscous_ext
 from semilab.simkit import (
     Trajectory,
@@ -63,9 +63,116 @@ class TestCnStep:
                            match=r"^A must be square, got shape \(2, 3\)$"):
             cn_step(np.zeros((2, 3)), 0.1)
 
-    def test_one_singular_value_svd(self, rng, svd_calls):
-        cn_step(random_dissipative(rng, 6), 0.5)
+    def test_dissipative_generator_needs_no_svd(self, rng, svd_calls):
+        # ||F^{-1}||_2 <= 1 for F = I - dt/2 A: the inverse bound decides
+        a = random_dissipative(rng, 6)
+        for dt in (1e-3, 0.5, 1e3):
+            cn_step(a, dt)
+        assert svd_calls == []
+
+    def test_inconclusive_bound_falls_back_to_one_svd(self, svd_calls):
+        # cond(F) = 1e11 lies between COND_LIMIT / 100 and COND_LIMIT
+        a = np.eye(2) - np.diag([1.0, 1e-11])
+        step = cn_step(a, 2.0)
         assert svd_calls == [{"compute_uv": False}]
+        want, _ = svd_solve(np.eye(2) - a, np.eye(2) + a, "I - (dt/2) A")
+        assert step.tobytes() == want.tobytes()
+
+    def test_solver_failure_the_rule_does_not_explain_propagates(
+            self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            cn_step(-np.eye(2), 0.1)
+
+
+def factor_with_singular_values(rng, sv, dtype):
+    """U diag(sv) V* with random orthogonal (or unitary) U and V."""
+    n = len(sv)
+
+    def orthonormal():
+        m = rng.standard_normal((n, n))
+        if dtype == complex:
+            m = m + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(m)[0]
+
+    return (orthonormal() * np.asarray(sv)) @ orthonormal().conj().T
+
+
+def cn_step_against_svd_solve(a, svd_calls):
+    """cn_step(a, 2) next to the SVD rule's solve of I -+ A: the raise
+    decision and message must match and the steps be bit-identical.
+    Returns the message (None when regular) and the SVDs cn_step ran."""
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
+    try:
+        want = svd_solve(ident - a, ident + a, "I - (dt/2) A")[0]
+    except ValueError as exc:
+        want = exc
+    del svd_calls[:]
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as got:
+            cn_step(a, 2.0)
+        assert str(got.value) == str(want)
+        return str(want), len(svd_calls)
+    got = cn_step(a, 2.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return None, len(svd_calls)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+class TestCnStepSingularityOracle:
+    """The inverse bound decides the singularity rule as the values-only
+    SVD does; only an inconclusive bound runs that SVD."""
+
+    @pytest.mark.parametrize("cond, singular, svds", [
+        (1e0, False, 0), (1e8, False, 0), (1e10, False, 1),
+        (1e11, False, 1), (1e12 * (1 - 1e-3), False, 1),
+        (1e12 * (1 + 1e-3), True, 1), (1e14, True, 1)])
+    def test_condition_ladder(self, rng, svd_calls, dtype, cond, singular,
+                              svds):
+        # with dt = 2 the factor I - dt/2 A is I - A = F
+        f = factor_with_singular_values(rng, [1.0, 0.5, 0.25, 1.0 / cond],
+                                        dtype)
+        message, ran = cn_step_against_svd_solve(np.eye(4) - f, svd_calls)
+        assert (message is not None) == singular and ran == svds
+        if singular:
+            assert message.startswith(
+                "I - (dt/2) A is singular to working precision (cond=")
+
+    @pytest.mark.parametrize("f", [np.diag([1.0, 0.0, 2.0]),
+                                   np.ones((3, 3))])
+    def test_exactly_singular(self, svd_calls, dtype, f):
+        # the LU meets an exact zero pivot; the SVD decides and names cond
+        message, ran = cn_step_against_svd_solve(
+            (np.eye(3) - f).astype(dtype), svd_calls)
+        assert message is not None and ran == 1
+
+    def test_scale_that_hides_the_identity(self, svd_calls, dtype):
+        # F = diag(2^100, 2^60) has cond 2^40 > COND_LIMIT, but I is lost
+        # in I -+ A: the LU step is exactly -I and (X + I)/2 = 0, so only
+        # the scale guard keeps the zero bound from certifying F
+        a = np.diag([1.0 - 2.0 ** 100, 1.0 - 2.0 ** 60]).astype(dtype)
+        message, ran = cn_step_against_svd_solve(a, svd_calls)
+        assert message == ("I - (dt/2) A is singular to working precision "
+                           "(cond=1.09951e+12)") and ran == 1
+
+    @pytest.mark.parametrize("cond, singular", [(1e11, False),
+                                                (1e14, True)])
+    def test_stack_with_an_uncertified_member(self, rng, svd_calls, dtype,
+                                              cond, singular):
+        # members 0 and 2 are certified, member 1 sends the stack to the SVD
+        f = np.stack([factor_with_singular_values(rng, sv, dtype) for sv in
+                      ([1.0, 0.5, 0.25], [1.0, 0.5, 1.0 / cond],
+                       [2.0, 1.0, 0.5])])
+        message, ran = cn_step_against_svd_solve(np.eye(3) - f, svd_calls)
+        assert ran == 1
+        if singular:
+            assert message.startswith("stack member 1: I - (dt/2) A is "
+                                      "singular to working precision")
+        else:
+            assert message is None
 
 
 class TestTrajectoryContainer:
