@@ -37,6 +37,7 @@ from .pdelab import (
     PdeCoefficients,
     degenerate_as1,
     energy_gram,
+    sine_start,
     wave_combined_ext,
     wave_ext,
     wave_structural_ext,
@@ -104,25 +105,26 @@ def _one_of(words):
     return _rule(lambda v: v in words, "be one of " + "|".join(words))
 
 
-def _profile_parts(key, profile):
-    """Split a coefficient profile string into (kind, numeric args)."""
-    if not isinstance(profile, str):
+def _profile(key, text):
+    """A coefficient profile string as a function of xi."""
+    if not isinstance(text, str):
         raise ValueError("%s expects a profile string" % key)
-    kind, _, rest = profile.partition(":")
+    kind, _, rest = text.partition(":")
     kind = kind.strip()
     rest = rest.strip()
+    # numbers parse now, as default arguments, so validation refuses bad ones
     try:
         if kind == "constant":
-            return "constant", (float(rest),)
+            return lambda xi, c=float(rest): np.full(np.shape(xi), c)
         if kind == "linear":
             a, _, b = rest.partition(",")
-            return "linear", (float(a), float(b))
+            return lambda xi, a=float(a), b=float(b): a + b * xi
         if kind == "power":
-            return "power", (float(rest),)
+            return lambda xi, e=float(rest): xi ** e
     except ValueError:
-        raise ValueError("%s: bad number in profile %r" % (key, profile))
+        raise ValueError("%s: bad number in profile %r" % (key, text))
     raise ValueError("%s: unknown profile %r (expected constant:<v>, "
-                     "linear:<a>,<b> or power:<e>)" % (key, profile))
+                     "linear:<a>,<b> or power:<e>)" % (key, text))
 
 
 _POSITIVE = _rule(lambda v: v > 0.0, "be positive")
@@ -148,11 +150,11 @@ _KEYS = (
     ("fixture", str, "wave_cayley", _one_of(FIXTURES)),
     ("negative_control", bool, False, None),
     ("out", str, ".", None),
-    ("rho", str, "constant:1", _profile_parts),
-    ("young", str, "constant:1", _profile_parts),
-    ("k_v", str, "constant:1", _profile_parts),
-    ("k_s", str, "constant:1", _profile_parts),
-    ("s_fun", str, "constant:1", _profile_parts),
+    ("rho", str, "constant:1", _profile),
+    ("young", str, "constant:1", _profile),
+    ("k_v", str, "constant:1", _profile),
+    ("k_s", str, "constant:1", _profile),
+    ("s_fun", str, "constant:1", _profile),
 )
 _TYPES = {key: kind for key, kind, _, _ in _KEYS}
 
@@ -273,26 +275,11 @@ def parse_config(text):
     return ExperimentConfig(**parsed)
 
 
-def _profile_values(profile, points, key):
-    kind, args = _profile_parts(key, profile)
-    points = np.asarray(points, dtype=float)
-    if kind == "constant":
-        return np.full(points.shape, args[0])
-    if kind == "linear":
-        return args[0] + args[1] * points
-    return points ** args[0]
-
-
 def _coefficients(config, grid):
-    return PdeCoefficients(
-        grid,
-        rho=_profile_values(config.rho, grid.interior_nodes, "rho"),
-        young=_profile_values(config.young, grid.midpoints, "young"),
-        k_v=_profile_values(config.k_v, grid.interior_nodes, "k_v"),
-        k_s=_profile_values(config.k_s, grid.midpoints, "k_s"),
-        s_fun=_profile_values(config.s_fun, grid.midpoints, "s_fun"),
-        alpha_exp=config.alpha_exp,
-        kappa=config.kappa)
+    profiles = {key: _profile(key, getattr(config, key))
+                for key in ("rho", "young", "k_v", "k_s", "s_fun")}
+    return PdeCoefficients(grid, alpha_exp=config.alpha_exp,
+                           kappa=config.kappa, **profiles)
 
 
 class RunReport(object):
@@ -484,24 +471,17 @@ def _simulate_setup(config):
     grid = Grid1D(config.n)
     coeffs = _coefficients(config, grid)
     if config.experiment == "degenerate":
-        a_s1 = degenerate_as1(grid, coeffs)
-        gram = Gram(grid.h * np.eye(config.n))
-        x0 = np.sin(np.pi * grid.midpoints)
-        return a_s1, gram, x0
+        return (degenerate_as1(grid, coeffs), Gram(grid.h * np.eye(config.n)),
+                sine_start(grid, degenerate=True))
     if config.experiment == "wave_heat":
-        ext = wave_ext(grid)
-        gram = energy_gram(grid, coeffs)
-        generator = ext.matrix @ gram.matrix
+        a, gram = wave_ext(grid).matrix, energy_gram(grid, coeffs)
     else:
         builder = {"viscous": wave_viscous_ext,
                    "structural": wave_structural_ext,
                    "combined": wave_combined_ext}[config.experiment]
         ext, gram, s_op = builder(grid, coeffs, require_uniform=True)
-        loop = internal_loop(ext, s_op)
-        generator = loop.a_s @ gram.matrix
-    x0 = np.concatenate([np.sin(np.pi * grid.interior_nodes),
-                         np.zeros(config.n)])
-    return generator, gram, x0
+        a = internal_loop(ext, s_op).a_s
+    return a @ gram.matrix, gram, sine_start(grid)
 
 
 def run_simulate(config):

@@ -37,6 +37,7 @@ __all__ = [
     "neumann_heat_ext",
     "energy_gram",
     "beta_midpoints",
+    "sine_start",
 ]
 
 
@@ -44,9 +45,7 @@ class Grid1D(object):
     """Uniform staggered grid on (0, 1) with n_cells cells.
 
     Interior nodes xi_i = i h (i = 1 .. n-1) carry Dirichlet scalar
-    unknowns; midpoints xi_{i-1/2} (i = 1 .. n) carry flux unknowns.  The
-    degenerate constructions additionally use the right boundary node
-    xi_n = 1 (``nodes_with_right``).
+    unknowns; midpoints xi_{i-1/2} (i = 1 .. n) carry flux unknowns.
     """
 
     def __init__(self, n_cells):
@@ -61,25 +60,21 @@ class Grid1D(object):
         return self.h * np.arange(1, self.n_cells)
 
     @property
-    def nodes_with_right(self):
-        return self.h * np.arange(1, self.n_cells + 1)
-
-    @property
     def midpoints(self):
         return self.h * (np.arange(1, self.n_cells + 1) - 0.5)
 
 
-def _sample(coefficient, points, name, size):
+def _sample(coefficient, points, name):
     """Broadcast a scalar, callable or array coefficient onto grid points."""
     if callable(coefficient):
         values = np.asarray(coefficient(points), dtype=float)
     else:
         values = np.asarray(coefficient, dtype=float)
     if values.ndim == 0:
-        values = np.full(size, float(values))
-    if values.shape != (size,):
+        values = np.full(points.shape, float(values))
+    if values.shape != points.shape:
         raise ValueError("%s must provide %d samples, got shape %s"
-                         % (name, size, values.shape))
+                         % (name, len(points), values.shape))
     if not np.isfinite(values).all():
         raise ValueError("%s has non-finite samples" % name)
     return values
@@ -104,25 +99,22 @@ class PdeCoefficients(object):
         if not isinstance(grid, Grid1D):
             grid = Grid1D(grid)
         self.grid = grid
-        n = grid.n_cells
-        nodes = grid.interior_nodes
-        mids = grid.midpoints
-        self.rho = _sample(rho, nodes, "rho", n - 1)
-        self.young = _sample(young, mids, "young", n)
-        self.k_v = _sample(k_v, nodes, "k_v", n - 1)
-        self.k_s = _sample(k_s, mids, "k_s", n)
-        self.s_fun = _sample(s_fun, mids, "s_fun", n)
+        self.rho = _sample(rho, grid.interior_nodes, "rho")
+        self.young = _sample(young, grid.midpoints, "young")
+        self.k_v = _sample(k_v, grid.interior_nodes, "k_v")
+        self.k_s = _sample(k_s, grid.midpoints, "k_s")
+        self.s_fun = _sample(s_fun, grid.midpoints, "s_fun")
         self.alpha_exp = float(alpha_exp)
         self.kappa = float(kappa)
         if not 0.0 < self.alpha_exp < 1.0:
             raise ValueError("alpha_exp must lie in (0, 1), got %g"
                              % self.alpha_exp)
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative, got %g" % self.kappa)
-        if (self.k_v < 0.0).any():
-            raise ValueError("k_v must be nonnegative")
-        if (self.k_s < 0.0).any():
-            raise ValueError("k_s must be nonnegative")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and nonnegative, got %g"
+                             % self.kappa)
+        for key in ("k_v", "k_s"):
+            if (getattr(self, key) < 0.0).any():
+                raise ValueError("%s must be nonnegative" % key)
         floor = min(self.rho.min(), self.young.min(), self.s_fun.min())
         if floor <= 0.0:
             raise ValueError("rho, young and s_fun must be bounded away "
@@ -152,6 +144,14 @@ def energy_gram(grid, coeffs):
     return Gram(np.diag(diag))
 
 
+def sine_start(grid, degenerate=False):
+    """sin(pi xi) as the degenerate x, else as wave momentum (zero strain)."""
+    if degenerate:
+        return np.sin(np.pi * grid.midpoints)
+    return np.concatenate([np.sin(np.pi * grid.interior_nodes),
+                           np.zeros(grid.n_cells)])
+
+
 def beta_midpoints(grid, alpha_exp):
     """Samples of beta(xi) = xi^{-alpha} at the cell midpoints."""
     return grid.midpoints ** (-float(alpha_exp))
@@ -164,72 +164,59 @@ def wave_ext(grid):
     return ExtendedOperator(np.zeros((n1, n1)), dv, g, np.zeros((n2, n2)))
 
 
-def _wave_state_blocks(grid):
-    """Shared undamped block A11 = ceil(0 & Dv \\ G & 0) on (nodes, midpoints)."""
+def _damped_wave(grid, coeffs, keys, require_uniform):
+    """The wave with one damping channel per key, in key order.
+
+    "k_s" is the structural channel at the midpoints (A12 block Dv) and
+    "k_v" the viscous one at the nodes (A12 block I).  A21 = -A12^T keeps
+    the extended operator skew, so the loop through the accretive
+    S = diag(samples) is dissipative; with require_uniform every
+    coefficient must be uniformly positive, and S uniformly accretive.
+    """
     g, dv = grad_div_pair(grid)
-    nn = g.shape[1]
-    nm = g.shape[0]
+    nn, nm = g.shape[1], g.shape[0]
+    for key in keys:
+        if require_uniform and getattr(coeffs, key).min() <= 0.0:
+            raise ValueError("%s must be uniformly positive for a uniformly "
+                             "accretive loop operator" % key)
     a11 = np.block([[np.zeros((nn, nn)), dv], [g, np.zeros((nm, nm))]])
-    return g, dv, nn, nm, a11
+    a12 = np.block([[dv if key == "k_s" else np.eye(nn) for key in keys],
+                    [np.zeros((nm, nm if key == "k_s" else nn))
+                     for key in keys]])
+    ext = ExtendedOperator(a11, a12, np.negative(a12.T, order="C"),
+                           np.zeros((a12.shape[1],) * 2))
+    s = np.diag(np.concatenate([getattr(coeffs, key) for key in keys]))
+    return ext, energy_gram(grid, coeffs), AccretiveOperator(s)
 
 
 def wave_viscous_ext(grid, coeffs, require_uniform=False):
-    """Viscously damped wave: extended operator, energy Gram, loop operator.
+    """Viscously damped wave: extended operator, energy Gram, S_v = diag(k_v).
 
     State (momentum at nodes, strain at midpoints), loop channel at the
-    nodes; blocks ceil(0 & Dv & I \\ G & 0 & 0 \\ -I & 0 & 0).  The loop
-    operator S_v = diag(k_v) is accretive; with require_uniform it must be
-    uniformly positive.
+    nodes; blocks ceil(0 & Dv & I \\ G & 0 & 0 \\ -I & 0 & 0).
     """
-    g, dv, nn, nm, a11 = _wave_state_blocks(grid)
-    if require_uniform and coeffs.k_v.min() <= 0.0:
-        raise ValueError("k_v must be uniformly positive for a uniformly "
-                         "accretive loop operator")
-    a12 = np.vstack([np.eye(nn), np.zeros((nm, nn))])
-    a21 = np.hstack([-np.eye(nn), np.zeros((nn, nm))])
-    ext = ExtendedOperator(a11, a12, a21, np.zeros((nn, nn)))
-    s_v = AccretiveOperator(np.diag(coeffs.k_v))
-    return ext, energy_gram(grid, coeffs), s_v
+    return _damped_wave(grid, coeffs, ("k_v",), require_uniform)
 
 
 def wave_structural_ext(grid, coeffs, require_uniform=False):
-    """Structurally damped wave: extended operator, energy Gram, loop operator.
+    """Structurally damped wave: extended operator, energy Gram, S_s = diag(k_s).
 
     State (velocity-like at nodes, strain at midpoints), loop channel at
     the midpoints; the loop channel feeds Dv into the first state row and
-    taps G from the first state column, so the loop with S_s = diag(k_s)
-    yields ceil(Dv S_s G & Dv \\ G & 0).
+    taps G from the first state column, so the loop yields
+    ceil(Dv S_s G & Dv \\ G & 0).
     """
-    g, dv, nn, nm, a11 = _wave_state_blocks(grid)
-    if require_uniform and coeffs.k_s.min() <= 0.0:
-        raise ValueError("k_s must be uniformly positive for a uniformly "
-                         "accretive loop operator")
-    a12 = np.vstack([dv, np.zeros((nm, nm))])
-    a21 = np.hstack([g, np.zeros((nm, nm))])
-    ext = ExtendedOperator(a11, a12, a21, np.zeros((nm, nm)))
-    s_s = AccretiveOperator(np.diag(coeffs.k_s))
-    return ext, energy_gram(grid, coeffs), s_s
+    return _damped_wave(grid, coeffs, ("k_s",), require_uniform)
 
 
 def wave_combined_ext(grid, coeffs, require_uniform=True):
     """Wave with both dampings; loop channel (structural midpoints, viscous nodes).
 
-    The block-diagonal loop operator S_vs = diag(k_s, k_v) is uniformly
-    accretive only when both coefficients are uniformly positive, and the
-    contraction argument needs exactly that, so vanishing coefficients
-    raise by default.
+    S_vs = diag(k_s, k_v) is uniformly accretive only when both
+    coefficients are uniformly positive, and the contraction argument
+    needs exactly that, so a vanishing coefficient raises by default.
     """
-    g, dv, nn, nm, a11 = _wave_state_blocks(grid)
-    if require_uniform and (coeffs.k_s.min() <= 0.0 or coeffs.k_v.min() <= 0.0):
-        raise ValueError("k_s and k_v must both be uniformly positive; the "
-                         "combined loop operator loses uniform accretivity "
-                         "otherwise")
-    a12 = np.block([[dv, np.eye(nn)], [np.zeros((nm, nm + nn))]])
-    a21 = np.block([[g, np.zeros((nm, nm))],
-                    [-np.eye(nn), np.zeros((nn, nm))]])
-    ext = ExtendedOperator(a11, a12, a21, np.zeros((nm + nn, nm + nn)))
-    s_vs = AccretiveOperator(np.diag(np.concatenate([coeffs.k_s, coeffs.k_v])))
-    return ext, energy_gram(grid, coeffs), s_vs
+    return _damped_wave(grid, coeffs, ("k_s", "k_v"), require_uniform)
 
 
 def _degenerate_difference_blocks(grid, kappa):
@@ -320,11 +307,8 @@ def neumann_heat_ext(grid, coeffs, beta=None):
     may be supplied instead (beta = 0 recovers the undamped wave blocks).
     The internal loop with S = diag(s) equals Dv (S^{-1} + beta^2)^{-1} G.
     """
-    n = grid.n_cells
-    g, dv = grad_div_pair(grid)
     if beta is None:
         beta = beta_midpoints(grid, coeffs.alpha_exp)
-    beta = _sample(beta, grid.midpoints, "beta", n)
-    a22 = np.diag(-beta ** 2)
-    n1 = n - 1
-    return ExtendedOperator(np.zeros((n1, n1)), dv, g, a22)
+    beta = _sample(beta, grid.midpoints, "beta")
+    wave = wave_ext(grid)
+    return ExtendedOperator(wave.a, wave.b, wave.c, np.diag(-beta ** 2))

@@ -69,9 +69,14 @@ def cn_step(a, dt):
         raise ValueError("dt must be positive, got %g" % dt)
     name = "I - (dt/2) A"
     ident = np.eye(m.shape[-1], dtype=m.dtype)
-    factor = as_complex_matrix(ident - (dt / 2.0) * m, name)
+    # an overflowing dt/2 A is refused by name below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = ident - (dt / 2.0) * m
+        step = ident + (dt / 2.0) * m
+    factor = as_complex_matrix(factor, name)
     try:
-        step = np.linalg.solve(factor, ident + (dt / 2.0) * m)
+        # the solve replaces its right-hand side I + dt/2 A, which is freed
+        step = np.linalg.solve(factor, step)
     except np.linalg.LinAlgError:
         _require_regular_given(factor, None, name)
         raise

@@ -26,11 +26,13 @@ from semilab.cli import (
     STEPPERS,
     _COMMANDS,
     _KEYS,
-    _profile_values,
+    _coefficients,
+    _profile,
     _simulate_setup,
     main,
 )
 from semilab.numkernel import Gram
+from semilab.pdelab import Grid1D
 from semilab.simkit import Trajectory
 
 
@@ -115,12 +117,27 @@ class TestParseConfig:
 
     def test_profile_sampling(self):
         points = np.array([0.25, 0.5, 1.0])
-        assert np.allclose(_profile_values("constant:2", points, "k"),
+        assert np.allclose(_profile("k", "constant:2")(points),
                            [2.0, 2.0, 2.0])
-        assert np.allclose(_profile_values("linear:1,2", points, "k"),
+        assert np.allclose(_profile("k", "linear:1,2")(points),
                            [1.5, 2.0, 3.0])
-        assert np.allclose(_profile_values("power:2", points, "k"),
+        assert np.allclose(_profile("k", "power:2")(points),
                            [0.0625, 0.25, 1.0])
+
+    def test_coefficients_sampled_on_their_own_points(self):
+        # rho and k_v live on the interior nodes; young, k_s and s_fun on
+        # the midpoints
+        config = ExperimentConfig(
+            experiment="combined", n=6,
+            **{key: "power:2" for key in ("rho", "young", "k_v", "k_s",
+                                          "s_fun")})
+        grid = Grid1D(6)
+        coeffs = _coefficients(config, grid)
+        for key in ("rho", "k_v"):
+            assert np.array_equal(getattr(coeffs, key),
+                                  grid.interior_nodes ** 2)
+        for key in ("young", "k_s", "s_fun"):
+            assert np.array_equal(getattr(coeffs, key), grid.midpoints ** 2)
 
     def test_with_seed_round_trip(self):
         config = parse_config(VERIFY_TEXT).with_seed(7)

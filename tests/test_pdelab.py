@@ -19,6 +19,7 @@ from semilab.pdelab import (
     wave_structural_ext,
     wave_viscous_ext,
 )
+from semilab import sysnode
 from semilab.sysnode import external_cayley, passivity_check
 
 
@@ -32,7 +33,6 @@ class TestGrid:
         assert g.h == 0.25
         assert np.allclose(g.interior_nodes, [0.25, 0.5, 0.75])
         assert np.allclose(g.midpoints, [0.125, 0.375, 0.625, 0.875])
-        assert np.allclose(g.nodes_with_right, [0.25, 0.5, 0.75, 1.0])
 
 
 class TestCoefficients:
@@ -68,6 +68,11 @@ class TestCoefficients:
     def test_negative_kappa(self):
         with pytest.raises(ValueError):
             PdeCoefficients(Grid1D(8), kappa=-0.5)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="^kappa must be finite"):
+            PdeCoefficients(Grid1D(8), kappa=kappa)
 
 
 class TestGradDivPair:
@@ -149,11 +154,23 @@ class TestWaveFamilies:
         assert ext.skew
 
     def test_combined_rejects_vanishing_damping(self):
+        # the error names the coefficient that vanishes
         grid = Grid1D(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k_s must be uniformly positive"):
             wave_combined_ext(grid, PdeCoefficients(grid, k_v=1.0, k_s=0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k_v must be uniformly positive"):
             wave_combined_ext(grid, PdeCoefficients(grid, k_v=0.0, k_s=1.0))
+
+    @pytest.mark.parametrize("builder", [wave_viscous_ext, wave_structural_ext,
+                                         wave_combined_ext])
+    def test_damping_channels_are_exactly_skew(self, builder, monkeypatch):
+        grid = Grid1D(7)
+        ext, _, _ = builder(grid, PdeCoefficients(grid, k_v=1.0, k_s=0.5))
+        assert np.array_equal(ext.c, -ext.b.T)
+        # the exact branch of the skew test runs no 2-norm
+        monkeypatch.setattr(sysnode, "op_norm", None)
+        assert ext.skew
+        assert not (ext.matrix + ext.matrix.T).any()
 
     def test_energy_gram_blocks(self):
         grid = Grid1D(6)

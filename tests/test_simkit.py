@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ class TestCnStep:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             cn_step(np.zeros((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("a", [[[1e300]], [[1e300 + 1e300j]]])
+    def test_overflowing_step_raises_only_the_named_error(self, a):
+        # dt/2 A overflows: the named refusal, and no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^I - \(dt/2\) A has "
+                               "non-finite entries"):
+                cn_step(a, 1e10)
 
     def test_rejects_non_square_generator(self):
         with pytest.raises(ValueError,
