@@ -15,6 +15,8 @@ import numpy as np
 
 from .numkernel import (
     SvdFactor,
+    _exact_diagonal,
+    _hermitian,
     _per_member,
     _refuse,
     _square,
@@ -39,12 +41,22 @@ class AccretiveOperator(object):
     Hermitian part (clamped at zero within a roundoff tolerance whose
     2-norm is computed only when an eigenvalue is negative), not
     user-supplied, so the cached bound cannot disagree with the matrix.
+    A Hermitian part that overflows is refused.  For an exact diagonal
+    S the eigenvalues are the real parts of the diagonal, and delta is
+    their minimum with no eigensolver: the dense eigvalsh gives the same
+    bits as long as LAPACK does not rescale the matrix (largest entry
+    between about 1e-146 and 1e146), and the exact value outside.
     """
 
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
-        # eigvalsh sorts ascending, so the first eigenvalue is the smallest
-        lam = np.linalg.eigvalsh((m + m.conj().mT) / 2.0)[..., 0]
+        diag = _exact_diagonal(m)
+        if diag is None:
+            # eigvalsh sorts ascending, so the first eigenvalue is the smallest
+            lam = np.linalg.eigvalsh(
+                _hermitian(m, "accretive operator"))[..., 0]
+        else:
+            lam = _hermitian(diag, "accretive operator").real.min()
         negative = lam < 0.0
         if negative.any():
             _refuse(negative & (lam < -1e-12 * (1.0 + op_norm(m))),

@@ -31,7 +31,13 @@ from .cayley import (
     strict_contraction_bound,
 )
 from .feedback import a_s_via_feedback, internal_loop
-from .numkernel import Gram, contraction_certificate, dissipativity_margin, op_norm
+from .numkernel import (
+    Gram,
+    _matmul,
+    contraction_certificate,
+    dissipativity_margin,
+    op_norm,
+)
 from .pdelab import (
     Grid1D,
     PdeCoefficients,
@@ -481,7 +487,7 @@ def _simulate_setup(config):
                    "combined": wave_combined_ext}[config.experiment]
         ext, gram, s_op = builder(grid, coeffs, require_uniform=True)
         a = internal_loop(ext, s_op).a_s
-    return a @ gram.matrix, gram, sine_start(grid)
+    return _matmul(a, gram.matrix), gram, sine_start(grid)
 
 
 def run_simulate(config):

@@ -3,7 +3,12 @@
 Every operator in this package is a dense matrix over the complex field;
 a real one is carried as float64 (zero imaginary part) and numpy's
 promotion makes a result complex128 only when an operand is, with
-``as_complex_matrix`` the one coercion.  This module provides the shared
+``as_complex_matrix`` the one coercion.  A matrix whose off-diagonal
+entries are all exactly zero (``_exact_diagonal`` alone decides it)
+keeps its dense carrier, but its accretivity bound, Gram factor and
+products are computed from the diagonal, with the values the dense
+operation gives, so no result and no decision changes; every other
+matrix takes the dense path.  This module provides the shared
 plumbing: Hermitian parts, dissipativity margins, operator norms, a
 matrix exponential (Higham's 2005 degree-13 scaling and squaring, with
 theta_13 = 5.37), contraction certificates, and SVD solves; a weighted
@@ -110,10 +115,59 @@ def _square(a, name="matrix"):
     return m
 
 
+def _exact_diagonal(m):
+    """The diagonal of one nonempty square matrix whose off-diagonal
+    entries are all exactly zero; None for anything else (a stack, a
+    non-square matrix, or a single nonzero off-diagonal entry, however
+    tiny).  The one diagonality decision of the package.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        return None
+    d = m.diagonal()
+    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
+
+
+def _scales_exactly(d, other):
+    return not (np.iscomplexobj(other) and d.imag.any())
+
+
+def _matmul(a, b):
+    """``a @ b``, as a row or column scaling when ``a`` or ``b`` is an
+    exact diagonal.
+
+    The scaling gives the product's values (only the sign of a zero may
+    differ, since the product adds exact zeros to each scaled entry).  A
+    complex matrix product fuses the real and imaginary partial
+    products, so a diagonal with a nonzero imaginary part keeps the
+    dense product when the other operand is complex too.
+    """
+    d = _exact_diagonal(a)
+    if d is not None and b.shape[-2:-1] == d.shape and _scales_exactly(d, b):
+        return d[:, None] * b
+    d = _exact_diagonal(b)
+    if d is not None and a.shape[-1:] == d.shape and _scales_exactly(d, a):
+        return a * d
+    return a @ b
+
+
+def _hermitian(m, name):
+    """(m + m*)/2 of a matrix or a stack, or of a diagonal given as a
+    vector; a ValueError naming ``name`` refuses a non-finite result, so
+    an overflow is neither accepted nor left to a LAPACK failure.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + (m.conj() if m.ndim == 1 else m.conj().mT)) / 2.0
+    if not np.isfinite(h).all():
+        _refuse(~np.isfinite(h).reshape(h.shape[:-2] + (-1,)).all(axis=-1),
+                "%s has a non-finite Hermitian part" % name)
+    return h
+
+
 def herm_part(a):
-    """Return the Hermitian part (A + A*)/2 of a square matrix."""
-    m = _square(a)
-    return (m + m.conj().mT) / 2.0
+    """Return the Hermitian part (A + A*)/2 of a square matrix, refusing
+    one that overflows.
+    """
+    return _hermitian(_square(a), "matrix")
 
 
 def op_norm(a):
@@ -221,10 +275,13 @@ def svd_solve(a, b, name="matrix"):
 class Gram(object):
     """Hermitian positive definite weight H defining <x,y>_H = <Hx, y>.
 
-    The matrix is validated (Hermitian within 1e-12 relative, positive
-    definite) and factored once as H = L L* for ``similar``: a weighted
-    quantity of a is the plain one of L* a L^{-*}.  The two 2-norms of
-    the Hermitian test are computed only when m - m* is not exactly zero.
+    The matrix is validated (Hermitian within 1e-12 relative, with a
+    finite Hermitian part, positive definite) and factored once as
+    H = L L* for ``similar``: a weighted quantity of a is the plain one of
+    L* a L^{-*}.  The two 2-norms of the Hermitian test are computed only
+    when m - m* is not exactly zero.  An exact diagonal d is factored as
+    L = diag(sqrt(d)), positive definite iff d > 0, and multiplies as a
+    scaling (``squared_norms``, ``_matmul``).
     """
 
     def __init__(self, matrix):
@@ -235,11 +292,18 @@ class Gram(object):
         skew = m - m.conj().T
         if skew.any() and op_norm(skew) > 1e-12 * max(op_norm(m), 1.0):
             raise ValueError("gram matrix is not Hermitian")
-        m = (m + m.conj().T) / 2.0
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("gram matrix is not positive definite")
+        m = _hermitian(m, "gram matrix")
+        diag = _exact_diagonal(m)
+        if diag is None:
+            try:
+                chol = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise ValueError("gram matrix is not positive definite")
+        else:
+            # Cholesky of a diagonal: sqrt(d), failing unless d > 0
+            if not (diag.real > 0.0).all():
+                raise ValueError("gram matrix is not positive definite")
+            chol = np.diag(np.sqrt(diag.real)).astype(m.dtype, copy=False)
         self.matrix = m
         self.cholesky = chol
 
@@ -269,10 +333,10 @@ class Gram(object):
         """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
 
         One ``rows @ H.T`` product serves all rows, in the dtype numpy
-        promotes the rows and H to.
+        promotes the rows and H to; a diagonal H scales the rows instead.
         """
         x = np.asarray(rows)
-        q = np.einsum("ij,ij->i", x.conj(), x @ self.matrix.T).real
+        q = np.einsum("ij,ij->i", x.conj(), _matmul(x, self.matrix.T)).real
         return np.maximum(q, 0.0)
 
     def weighted_vector_norm(self, x):

@@ -65,9 +65,14 @@ class Grid1D(object):
 
 
 def _sample(coefficient, points, name):
-    """Broadcast a scalar, callable or array coefficient onto grid points."""
+    """Broadcast a scalar, callable or array coefficient onto grid points.
+
+    A callable is evaluated with overflow warnings off: a sample that
+    overflows is refused below by name.
+    """
     if callable(coefficient):
-        values = np.asarray(coefficient(points), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(coefficient(points), dtype=float)
     else:
         values = np.asarray(coefficient, dtype=float)
     if values.ndim == 0:
@@ -139,8 +144,12 @@ def grad_div_pair(grid):
 
 
 def energy_gram(grid, coeffs):
-    """Energy weight H = diag(1/rho, young) on (momentum, strain) states."""
-    diag = np.concatenate([1.0 / coeffs.rho, coeffs.young])
+    """Energy weight H = diag(1/rho, young) on (momentum, strain) states.
+
+    A 1/rho that overflows is left to Gram, which refuses it by name.
+    """
+    with np.errstate(over="ignore"):
+        diag = np.concatenate([1.0 / coeffs.rho, coeffs.young])
     return Gram(np.diag(diag))
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .numkernel import (
     SvdFactor,
+    _matmul,
     _per_member,
     _require_regular,
     as_complex_matrix,
@@ -126,17 +127,18 @@ def _loop_solve(node, km, name):
     factor, named ``name``, with the unit-anchored cond.  When K D is
     exactly zero there is no SVD: factor None, cond 1.0 per member.  X is
     None when one matrix is singular; a stack names its first singular
-    member in a ValueError.
+    member in a ValueError.  A diagonal K (the S of a PDE loop, or the
+    identity) scales the rows of C and D.
     """
-    if not node.d.any() or not (kd := km @ node.d).any():
-        x = km @ node.c
+    if not node.d.any() or not (kd := _matmul(km, node.d)).any():
+        x = _matmul(km, node.c)
         return None, _per_member(np.ones(x.shape[:-2]), x), x
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
     factor = SvdFactor(np.eye(node.ninputs) - kd, name, unit_anchor=True)
     if not np.ndim(factor.cond) and factor.singular:
         return factor, factor.cond, None
-    return factor, factor.cond, factor.solve(km @ node.c)
+    return factor, factor.cond, factor.solve(_matmul(km, node.c))
 
 
 def external_cayley(ext):

@@ -8,6 +8,7 @@ only random_contraction is test-only.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -75,3 +76,32 @@ def step_out_dtypes(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spied)
     return dtypes
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the ``eigvalsh`` and ``cholesky`` calls made in the test."""
+    calls = []
+    for name in ("eigvalsh", "cholesky"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def dense_only(monkeypatch):
+    """Call it to send every later call down the dense path.
+
+    The package's one diagonality decision, ``_exact_diagonal``, then
+    finds no diagonal, in every module that holds a binding of it.
+    """
+    def disable():
+        for name, module in list(sys.modules.items()):
+            if name.startswith("semilab") and \
+                    hasattr(module, "_exact_diagonal"):
+                monkeypatch.setattr(module, "_exact_diagonal",
+                                    lambda m: None)
+    return disable

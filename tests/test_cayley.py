@@ -47,6 +47,18 @@ class TestWrappers:
         AccretiveOperator(random_accretive(rng, 6, floor=0.05))
         assert calls == [("accretive operator",)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix, prefix", [
+        (np.diag([1e308, 1.0]), ""),
+        (np.array([[1.0, 1e308], [1e308, 1.0]]), ""),
+        (np.stack([np.eye(2), np.diag([1e308, 1.0])]), "stack member 1: "),
+    ], ids=["diagonal", "dense", "stack"])
+    def test_accretive_refuses_an_overflowing_hermitian_part(self, matrix,
+                                                              prefix):
+        with pytest.raises(ValueError, match="^%saccretive operator has a "
+                           "non-finite Hermitian part$" % prefix):
+            AccretiveOperator(matrix)
+
     def test_skew_is_accretive_with_zero_delta(self):
         s = AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert s.delta == 0.0

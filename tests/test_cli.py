@@ -358,6 +358,18 @@ class TestRunSimulate:
         assert np.abs(real_energy - cplx_energy).max() <= \
             1e-12 * real_energy[0]
 
+    @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
+    def test_diagonal_shortcuts_change_no_byte(self, experiment,
+                                               dense_only):
+        text = ("experiment = %s\nn = 16\nrho = linear:1,1\n"
+                "k_v = linear:0.5,1\nk_s = constant:0.75\n" % experiment)
+        runs = [self.simulate(text)]
+        dense_only()
+        runs.append(self.simulate(text))
+        (report, csv_text), (dense_report, dense_csv) = runs
+        assert report.body() == dense_report.body()
+        assert csv_text == dense_csv
+
     def test_csv_bytes_match_per_row_format(self, monkeypatch):
         dt = 0.1
         times = dt * np.arange(7)
@@ -550,6 +562,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "T = 1000000.0, dt = 0.001" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = viscous\nk_v = constant:1e308\n",
+         "accretive operator has a non-finite Hermitian part"),
+        ("experiment = wave_heat\nrho = constant:1e-308\n",
+         "gram matrix has a non-finite Hermitian part"),
+        ("experiment = wave_heat\nrho = constant:1e-309\n",
+         "gram matrix has non-finite entries"),
+        ("experiment = viscous\nrho = power:-400\n",
+         "rho has non-finite samples"),
+        ("experiment = viscous\nk_v = linear:1e308,1e308\n",
+         "k_v has non-finite samples"),
+    ], ids=["huge-damping", "tiny-density", "subnormal-density",
+            "power-overflow", "linear-overflow"])
+    def test_overflowing_coefficient_is_refused_by_name(self, tmp_path,
+                                                        capsys, text,
+                                                        message):
+        cfg = self.write_config(tmp_path, text + "n = 8\nT = 0.1\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_ionorm_takes_a_long_horizon(self, tmp_path):
         # ionorm does not step with dt, so the simulate budget leaves it be

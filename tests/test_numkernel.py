@@ -4,9 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilab.cayley import AccretiveOperator
 from semilab.feedback import check_admissible, internal_loop
 from semilab.numkernel import (
     _EXPM_THETA,
+    _exact_diagonal,
+    _matmul,
     ContractionReport,
     Gram,
     SvdFactor,
@@ -20,7 +23,7 @@ from semilab.numkernel import (
 )
 from semilab.pdelab import Grid1D, PdeCoefficients, energy_gram, wave_ext
 from semilab.simkit import _LEDGER_BLOCK, simulate_semigroup
-from semilab.sysnode import external_cayley
+from semilab.sysnode import ExtendedOperator, SystemNode, external_cayley
 
 from conftest import (
     random_contraction,
@@ -151,6 +154,15 @@ class TestGram:
         h = np.array([[2.0, 1.0 + 1e-15], [1.0, 2.0]])
         assert np.allclose(Gram(h).matrix, [[2.0, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [np.diag([1e308, 1.0]),
+                                   np.array([[1e308, 1.0], [1.0, 1.0]])],
+                             ids=["diagonal", "dense"])
+    def test_refuses_an_overflowing_hermitian_part(self, h):
+        with pytest.raises(ValueError, match="^gram matrix has a non-finite "
+                                             "Hermitian part$"):
+            Gram(h)
+
     def test_hermitian_matrix_needs_no_norm(self, rng, svd_calls):
         Gram(herm_part(random_matrix(rng, 6)) + 3 * np.eye(6))
         Gram(np.diag([1.0, 4.0, 0.25]))
@@ -221,9 +233,170 @@ class TestGram:
             assert (np.abs(got - oracle) <= 1e-13 * oracle).all()
 
 
+def spread_diagonal(rng, n, complex_):
+    """n entries of random sign with magnitudes spread over 1e-30 .. 1e30."""
+    def part():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+    return part() + 1j * part() if complex_ else part()
+
+
+def same_bits(got, want):
+    """Equal values and dtype; the sign of a zero is not compared."""
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+SIZES = [1, 2, 7, 300]
+
+
+class TestExactDiagonal:
+    """Every diagonal shortcut against the dense operation it replaces."""
+
+    def test_decides_only_exact_diagonals(self):
+        d = np.array([2.0, -0.0, 3.0])
+        assert np.array_equal(_exact_diagonal(np.diag(d)), d)
+        signed_zero = np.diag(d)
+        signed_zero[0, 2] = -0.0
+        assert _exact_diagonal(signed_zero) is not None
+        tiny = np.diag(d)
+        tiny[2, 0] = 5e-324
+        for m in (tiny, np.stack([np.eye(3)] * 2), np.zeros((2, 3)),
+                  np.zeros((0, 0))):
+            assert _exact_diagonal(m) is None
+
+    def test_subnormal_off_diagonal_takes_the_dense_path(self, lapack_calls):
+        m = np.diag([2.0, 3.0])
+        AccretiveOperator(m)
+        Gram(m)
+        assert lapack_calls == []
+        m[0, 1] = m[1, 0] = 5e-324
+        AccretiveOperator(m)
+        Gram(m)
+        assert lapack_calls == ["eigvalsh", "cholesky"]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_accretivity_bound(self, n, complex_, lapack_calls):
+        rng = np.random.default_rng(n)
+        d = spread_diagonal(rng, n, complex_)
+        d = np.abs(d.real) + 1j * d.imag if complex_ else np.abs(d)
+        m = np.diag(d)
+        lam = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+        del lapack_calls[:]
+        delta = AccretiveOperator(m).delta
+        assert lapack_calls == []
+        assert delta == max(lam, 0.0) and type(delta) is float
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_negative_diagonal_keeps_the_message(self, n):
+        rng = np.random.default_rng(n)
+        d = np.abs(spread_diagonal(rng, n, False))
+        d[n // 2] = -d.max()
+        m = np.diag(d)
+        lam = np.linalg.eigvalsh(m)[0]
+        with pytest.raises(ValueError) as err:
+            AccretiveOperator(m)
+        assert str(err.value) == \
+            "matrix is not accretive: min Hermitian eigenvalue %g" % lam
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gram_factor(self, n, dtype, lapack_calls):
+        rng = np.random.default_rng(n)
+        h = np.diag(np.abs(spread_diagonal(rng, n, False))).astype(dtype)
+        want = np.linalg.cholesky(h)
+        del lapack_calls[:]
+        gram = Gram(h)
+        assert lapack_calls == []
+        assert same_bits(gram.cholesky, want)
+        assert same_bits(gram.matrix, h)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300])
+    def test_gram_keeps_the_definiteness_message(self, bad):
+        d = np.ones(5)
+        d[3] = bad
+        with pytest.raises(ValueError,
+                           match="^gram matrix is not positive definite$"):
+            Gram(np.diag(d))
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_squared_norms(self, n, dtype, complex_rows):
+        rng = np.random.default_rng(n)
+        h = np.diag(np.abs(spread_diagonal(rng, n, False))).astype(dtype)
+        rows = spread_diagonal(rng, 9 * n, complex_rows).reshape(9, n)
+        want = np.maximum(
+            np.einsum("ij,ij->i", rows.conj(), rows @ h.T).real, 0.0)
+        assert same_bits(Gram(h).squared_norms(rows), want)
+
+    @pytest.mark.parametrize("complex_other", [False, True])
+    @pytest.mark.parametrize("complex_diagonal", [False, True])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_products(self, n, complex_diagonal, complex_other):
+        # K C, K D (row scalings) and A H (a column scaling)
+        rng = np.random.default_rng(n)
+        k = np.diag(spread_diagonal(rng, n, complex_diagonal))
+        other = spread_diagonal(rng, 3 * n, complex_other).reshape(n, 3)
+        assert same_bits(_matmul(k, other), k @ other)
+        assert same_bits(_matmul(other.T, k), other.T @ k)
+        stack = other.reshape(1, n, 3) * np.ones((2, 1, 1))
+        assert same_bits(_matmul(k, stack), k @ stack)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_loop_closures(self, n, rng, dense_only):
+        # internal loop through a diagonal S (A22 = 0 and A22 != 0) and
+        # output feedback through a diagonal K
+        s = np.diag(np.abs(spread_diagonal(rng, n, False)))
+        ext0 = random_dissipative_ext(rng, 4, n)
+        ext0 = ExtendedOperator(ext0.a, ext0.b, ext0.c, np.zeros((n, n)))
+        ext1 = random_dissipative_ext(rng, 4, n)
+        node = SystemNode(ext1.a, ext1.b, ext1.c, 1e-3 * ext1.d)
+        # S A22 and K D stay below 1, so both loops are solvable
+        ext1 = ExtendedOperator(ext1.a, ext1.b, ext1.c, 1e-31 * ext1.d)
+        k = np.diag(spread_diagonal(rng, n, True) * 1e-30)
+
+        def closures():
+            fb = check_admissible(node, k)
+            return [internal_loop(ext0, s).a_s, internal_loop(ext1, s).a_s,
+                    fb.closed_loop.a, fb.closed_loop.b, fb.closed_loop.c,
+                    fb.closed_loop.d, np.array(fb.m_condition)]
+
+        fast = closures()
+        dense_only()
+        for got, want in zip(fast, closures()):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("zero_feedthrough", [False, True])
+    def test_stacked_node_through_the_identity(self, rng, dense_only,
+                                               zero_feedthrough):
+        # external_cayley closes a stack through one 2-D identity K,
+        # which scales the rows of every member's C and D
+        exts = [random_dissipative_ext(rng, 3, 2) for _ in range(4)]
+        blocks = [np.stack([getattr(e, name) for e in exts])
+                  for name in "abcd"]
+        if zero_feedthrough:
+            blocks[3] = np.zeros_like(blocks[3])
+        ext = ExtendedOperator(*blocks)
+        fast = external_cayley(ext)
+        dense_only()
+        slow = external_cayley(ext)
+        for name in "abcd":
+            assert same_bits(getattr(fast, name), getattr(slow, name))
+
+
 class TestDissipativityMargin:
     def test_zero_matrix(self):
         assert dissipativity_margin(np.zeros((3, 3))) == pytest.approx(0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [np.diag([1e308, 1.0]),
+                                   np.array([[1.0, 1e308], [1e308, 1.0]])],
+                             ids=["diagonal", "dense"])
+    def test_refuses_an_overflowing_hermitian_part(self, a):
+        # the margin used to come out as nan, which no tolerance rejects
+        with pytest.raises(ValueError, match="^matrix has a non-finite "
+                                             "Hermitian part$"):
+            dissipativity_margin(a)
 
     def test_skew_hermitian_margin_zero(self, rng):
         m = random_matrix(rng, 6)

@@ -69,6 +69,23 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             PdeCoefficients(Grid1D(8), kappa=-0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, profile", [
+        ("rho", lambda xi: xi ** -400.0),
+        ("k_v", lambda xi: 1e308 + 1e308 * xi),
+    ], ids=["power", "linear"])
+    def test_overflowing_callable_is_refused_by_name(self, key, profile):
+        with pytest.raises(ValueError,
+                           match="^%s has non-finite samples$" % key):
+            PdeCoefficients(Grid1D(8), **{key: profile})
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_energy_weight_is_refused_by_name(self):
+        coeffs = PdeCoefficients(Grid1D(8), rho=1e-309)
+        with pytest.raises(ValueError,
+                           match="^gram matrix has non-finite entries$"):
+            energy_gram(coeffs.grid, coeffs)
+
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
     def test_rejects_non_finite_kappa(self, kappa):
         with pytest.raises(ValueError, match="^kappa must be finite"):
