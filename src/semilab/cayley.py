@@ -15,8 +15,7 @@ import numpy as np
 
 from .numkernel import (
     SvdFactor,
-    _exact_diagonal,
-    _hermitian,
+    _herm_eigvalsh,
     _per_member,
     _refuse,
     _square,
@@ -41,22 +40,11 @@ class AccretiveOperator(object):
     Hermitian part (clamped at zero within a roundoff tolerance whose
     2-norm is computed only when an eigenvalue is negative), not
     user-supplied, so the cached bound cannot disagree with the matrix.
-    A Hermitian part that overflows is refused.  For an exact diagonal
-    S the eigenvalues are the real parts of the diagonal, and delta is
-    their minimum with no eigensolver: the dense eigvalsh gives the same
-    bits as long as LAPACK does not rescale the matrix (largest entry
-    between about 1e-146 and 1e146), and the exact value outside.
     """
 
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
-        diag = _exact_diagonal(m)
-        if diag is None:
-            # eigvalsh sorts ascending, so the first eigenvalue is the smallest
-            lam = np.linalg.eigvalsh(
-                _hermitian(m, "accretive operator"))[..., 0]
-        else:
-            lam = _hermitian(diag, "accretive operator").real.min()
+        lam = _herm_eigvalsh(m, "accretive operator")[..., 0]
         negative = lam < 0.0
         if negative.any():
             _refuse(negative & (lam < -1e-12 * (1.0 + op_norm(m))),

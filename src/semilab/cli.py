@@ -33,6 +33,7 @@ from .cayley import (
 from .feedback import a_s_via_feedback, internal_loop
 from .numkernel import (
     Gram,
+    _herm_eigvalsh,
     _matmul,
     contraction_certificate,
     dissipativity_margin,
@@ -336,8 +337,7 @@ def _shifted(m, shift):
 
 def _accretive(m, floor):
     """Shift m so the smallest eigenvalue of its Hermitian part is floor."""
-    herm = (m + m.conj().mT) / 2.0
-    return _shifted(m, floor - np.linalg.eigvalsh(herm)[..., 0])
+    return _shifted(m, floor - _herm_eigvalsh(m, "matrix")[..., 0])
 
 
 def _dissipative(m, gap=0.1):

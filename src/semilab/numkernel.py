@@ -3,16 +3,19 @@
 Every operator in this package is a dense matrix over the complex field;
 a real one is carried as float64 (zero imaginary part) and numpy's
 promotion makes a result complex128 only when an operand is, with
-``as_complex_matrix`` the one coercion.  A matrix whose off-diagonal
-entries are all exactly zero (``_exact_diagonal`` alone decides it)
-keeps its dense carrier, but its accretivity bound, Gram factor and
-products are computed from the diagonal, with the values the dense
-operation gives, so no result and no decision changes; every other
-matrix takes the dense path.  This module provides the shared
-plumbing: Hermitian parts, dissipativity margins, operator norms, a
-matrix exponential (Higham's 2005 degree-13 scaling and squaring, with
-theta_13 = 5.37), contraction certificates, and SVD solves; a weighted
-quantity is the plain one of ``Gram.similar(a)``.
+``as_complex_matrix`` the one coercion.  Every dissipativity,
+accretivity, skewness and passivity verdict reads one Hermitian-part
+rule: ``_hermitian`` forms (X + X*)/2, refusing a non-finite one by
+name, and ``_herm_eigvalsh`` makes the package's one eigensolver call.
+A matrix whose off-diagonal entries are all exactly zero
+(``_exact_diagonal`` alone decides it) keeps its dense carrier, but its
+Hermitian eigenvalues, Gram factor and products come from the diagonal,
+with the dense operation's values; every other matrix takes the dense
+path.  This module provides the shared plumbing: Hermitian parts,
+dissipativity margins, operator norms, a matrix exponential (Higham's
+2005 degree-13 scaling and squaring, with theta_13 = 5.37), contraction
+certificates, and SVD solves; a weighted quantity is the plain one of
+``Gram.similar(a)``.
 
 The primitives take one matrix or a stack of shape (..., n, n) through
 the same code: a stack gives one value per member (an array over the
@@ -163,10 +166,20 @@ def _hermitian(m, name):
     return h
 
 
-def herm_part(a):
-    """Return the Hermitian part (A + A*)/2 of a square matrix, refusing
-    one that overflows.
+def _herm_eigvalsh(m, name):
+    """Ascending eigenvalues of ``_hermitian(m, name)``, per member; for
+    an exact diagonal, its sorted real parts with no eigensolver (the
+    dense bits while LAPACK does not rescale, largest entry about 1e-146
+    to 1e146, and the exact values outside).
     """
+    d = _exact_diagonal(m)
+    if d is not None:
+        return np.sort(_hermitian(d, name).real)
+    return np.linalg.eigvalsh(_hermitian(m, name))
+
+
+def herm_part(a):
+    """(A + A*)/2 of a square matrix, refusing one that overflows."""
     return _hermitian(_square(a), "matrix")
 
 
@@ -278,10 +291,9 @@ class Gram(object):
     The matrix is validated (Hermitian within 1e-12 relative, with a
     finite Hermitian part, positive definite) and factored once as
     H = L L* for ``similar``: a weighted quantity of a is the plain one of
-    L* a L^{-*}.  The two 2-norms of the Hermitian test are computed only
-    when m - m* is not exactly zero.  An exact diagonal d is factored as
-    L = diag(sqrt(d)), positive definite iff d > 0, and multiplies as a
-    scaling (``squared_norms``, ``_matmul``).
+    L* a L^{-*}.  The Hermitian test's 2-norms run only on a nonzero skew
+    part m - herm(m).  An exact diagonal d is factored as L = diag(sqrt(d)),
+    positive definite iff d > 0, and multiplies as a scaling.
     """
 
     def __init__(self, matrix):
@@ -289,22 +301,22 @@ class Gram(object):
         if m.ndim != 2:
             raise ValueError("gram matrix must be one matrix, got shape %s"
                              % (m.shape,))
-        skew = m - m.conj().T
-        if skew.any() and op_norm(skew) > 1e-12 * max(op_norm(m), 1.0):
+        h = _hermitian(m, "gram matrix")
+        skew = m - h
+        if skew.any() and op_norm(skew) > 0.5e-12 * max(op_norm(m), 1.0):
             raise ValueError("gram matrix is not Hermitian")
-        m = _hermitian(m, "gram matrix")
-        diag = _exact_diagonal(m)
+        diag = _exact_diagonal(h)
         if diag is None:
             try:
-                chol = np.linalg.cholesky(m)
+                chol = np.linalg.cholesky(h)
             except np.linalg.LinAlgError:
                 raise ValueError("gram matrix is not positive definite")
         else:
             # Cholesky of a diagonal: sqrt(d), failing unless d > 0
             if not (diag.real > 0.0).all():
                 raise ValueError("gram matrix is not positive definite")
-            chol = np.diag(np.sqrt(diag.real)).astype(m.dtype, copy=False)
-        self.matrix = m
+            chol = np.diag(np.sqrt(diag.real)).astype(h.dtype, copy=False)
+        self.matrix = h
         self.cholesky = chol
 
     @property
@@ -355,9 +367,8 @@ def dissipativity_margin(a, gram=None):
     """
     if gram is not None:
         a = (gram if isinstance(gram, Gram) else Gram(gram)).similar(a)
-    h = herm_part(a)
-    # eigvalsh sorts ascending, so the last eigenvalue is the largest
-    return _per_member(np.linalg.eigvalsh(h)[..., -1], h)
+    m = _square(a)
+    return _per_member(_herm_eigvalsh(m, "matrix")[..., -1], m)
 
 
 # Numerator coefficients of the diagonal (13, 13) Pade approximant

@@ -19,6 +19,8 @@ import numpy as np
 
 from .numkernel import (
     SvdFactor,
+    _herm_eigvalsh,
+    _hermitian,
     _matmul,
     _per_member,
     _require_regular,
@@ -85,8 +87,8 @@ class ExtendedOperator(SystemNode):
     Input and output are the one loop channel, so A22 is square.  The
     dissipativity margin of the assembled matrix and the skew defect are
     computed lazily; the flags ``dissipative`` and ``skew`` report the
-    verified properties.  The skew test skips its two 2-norms when
-    A + A* is exactly zero.
+    verified properties.  The skew test skips its two 2-norms when the
+    Hermitian part is exactly zero.
     """
 
     _names = ("A11", "A12", "A21", "A22")
@@ -113,10 +115,10 @@ class ExtendedOperator(SystemNode):
     @cached_property
     def skew(self):
         full = self.matrix
-        defect = full + full.conj().mT
-        exact = ~defect.any(axis=(-2, -1))
+        herm = _hermitian(full, "extended operator")
+        exact = ~herm.any(axis=(-2, -1))
         if not exact.all():
-            exact = exact | (op_norm(defect) <= 1e-10 * (1.0 + op_norm(full)))
+            exact = exact | (op_norm(herm) <= 0.5e-10 * (1.0 + op_norm(full)))
         return _per_member(exact, full)
 
 
@@ -177,10 +179,9 @@ def passivity_check(node):
     a, b, c, d = node.a, node.b, node.c, node.d
     m = node.ninputs
     ch = c.conj().mT
-    cross = b + ch @ d
-    block = np.block([[a + a.conj().mT + ch @ c, cross],
-                      [cross.conj().mT,
-                       d.conj().mT @ d - np.eye(m, dtype=d.dtype)]])
-    block = (block + block.conj().mT) / 2.0
-    # eigvalsh sorts ascending, so the last eigenvalue is the largest
-    return _per_member(np.linalg.eigvalsh(block)[..., -1], a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = b + ch @ d
+        block = np.block([[a + a.conj().mT + ch @ c, cross],
+                          [cross.conj().mT,
+                           d.conj().mT @ d - np.eye(m, dtype=d.dtype)]])
+    return _per_member(_herm_eigvalsh(block, "passivity block")[..., -1], a)

@@ -1,14 +1,20 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semilab
 from semilab.cayley import AccretiveOperator
+from semilab.cli import _accretive, _shifted
 from semilab.feedback import check_admissible, internal_loop
 from semilab.numkernel import (
     _EXPM_THETA,
     _exact_diagonal,
+    _hermitian,
     _matmul,
     ContractionReport,
     Gram,
@@ -23,7 +29,12 @@ from semilab.numkernel import (
 )
 from semilab.pdelab import Grid1D, PdeCoefficients, energy_gram, wave_ext
 from semilab.simkit import _LEDGER_BLOCK, simulate_semigroup
-from semilab.sysnode import ExtendedOperator, SystemNode, external_cayley
+from semilab.sysnode import (
+    ExtendedOperator,
+    SystemNode,
+    external_cayley,
+    passivity_check,
+)
 
 from conftest import (
     random_contraction,
@@ -162,6 +173,12 @@ class TestGram:
         with pytest.raises(ValueError, match="^gram matrix has a non-finite "
                                              "Hermitian part$"):
             Gram(h)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_huge_skew_pair_by_name(self):
+        # m - m* overflows here; the skew part m - herm(m) does not
+        with pytest.raises(ValueError, match="^gram matrix is not Hermitian$"):
+            Gram([[1.0, 1e308], [-1e308, 1.0]])
 
     def test_hermitian_matrix_needs_no_norm(self, rng, svd_calls):
         Gram(herm_part(random_matrix(rng, 6)) + 3 * np.eye(6))
@@ -382,6 +399,148 @@ class TestExactDiagonal:
         slow = external_cayley(ext)
         for name in "abcd":
             assert same_bits(getattr(fast, name), getattr(slow, name))
+
+
+def dense_herm_eigvalsh(m):
+    """eigvalsh of (m + m*)/2 written out, always on the dense path."""
+    return np.linalg.eigvalsh((m + m.conj().mT) / 2.0)
+
+
+def lmi_block_by_hand(node):
+    """The passivity LMI block of ``passivity_check``, written out."""
+    a, b, c, d = node.a, node.b, node.c, node.d
+    ch = c.conj().mT
+    cross = b + ch @ d
+    return np.block([[a + a.conj().mT + ch @ c, cross],
+                     [cross.conj().mT,
+                      d.conj().mT @ d - np.eye(node.ninputs, dtype=d.dtype)]])
+
+
+def random_operand(rng, shape, complex_):
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_ else m
+
+
+ORACLE_SIZES = [1, 2, 7, 64]
+
+
+ONE_OR_STACK = pytest.mark.parametrize("stack", [False, True],
+                                      ids=["one", "stack"])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+class TestHermitianRule:
+    """Every verdict on a Hermitian part, bitwise against its formula
+    written out by hand."""
+
+    @ONE_OR_STACK
+    def test_margin_and_accretivity(self, n, complex_, stack):
+        rng = np.random.default_rng(n)
+        m = random_operand(rng, (3, n, n) if stack else (n, n), complex_)
+        lam = dense_herm_eigvalsh(m)
+        assert same_bits(np.asarray(dissipativity_margin(m)), lam[..., -1])
+        s = _accretive(m, 0.05)
+        assert same_bits(s, _shifted(m, 0.05 - lam[..., 0]))
+        want = np.maximum(dense_herm_eigvalsh(s)[..., 0], 0.0)
+        assert same_bits(np.asarray(AccretiveOperator(s).delta), want)
+
+    @ONE_OR_STACK
+    def test_passivity(self, n, complex_, stack):
+        rng = np.random.default_rng(n)
+        batch = (3,) if stack else ()
+        node = SystemNode(*(random_operand(rng, batch + shape, complex_)
+                            for shape in ((n, n), (n, 2), (2, n), (2, 2))))
+        want = dense_herm_eigvalsh(lmi_block_by_hand(node))[..., -1]
+        assert same_bits(np.asarray(passivity_check(node)), want)
+
+    @ONE_OR_STACK
+    def test_skew(self, n, complex_, stack):
+        rng = np.random.default_rng(n)
+        m = random_operand(rng, (3, n + 1, n + 1) if stack else (n + 1,) * 2,
+                           complex_)
+        k = m - m.conj().mT
+        # k + t I has Hermitian part t I, and t <= bound / 2 is skew: 0.4
+        # and 0.75 of the bound fall on either side, whatever the rounding
+        bound = 1e-10 * (1.0 + np.asarray(op_norm(k)))[..., None, None]
+        fulls = [k + scale * m for scale in (0.0, 1e-14, 1e-11, 1e-9, 1e-6)]
+        fulls += [k + frac * bound * np.eye(n + 1) for frac in (0.4, 0.75)]
+        verdicts = []
+        for full in fulls:
+            defect = full + full.conj().mT
+            ext = ExtendedOperator(full[..., :n, :n], full[..., :n, n:],
+                                   full[..., n:, :n], full[..., n:, n:])
+            want = ~defect.any(axis=(-2, -1)) | (
+                op_norm(defect) <= 1e-10 * (1.0 + np.asarray(op_norm(full))))
+            assert np.array_equal(ext.skew, want)
+            # halving is exact: the norm the test reads is half A + A*'s
+            assert same_bits(np.asarray(op_norm(_hermitian(full, "m"))),
+                             np.asarray(op_norm(defect)) / 2.0)
+            verdicts.append(want)
+        assert np.all(verdicts[-2]) and not np.any(verdicts[-1])
+
+    def test_gram_symmetry(self, n, complex_):
+        rng = np.random.default_rng(n)
+        p = random_operand(rng, (n, n), complex_)
+        h = p @ p.conj().T + n * np.eye(n)
+        h = (h + h.conj().T) / 2.0
+        skew = p - p.conj().T
+        scales = [0.0, 1e-15, 1e-13, 1e-11, 1e-9]
+        if skew.any():
+            # m - m* at 0.75 and 1.5 of the bound
+            scales += [frac * 1e-12 * op_norm(h) / (2.0 * op_norm(skew))
+                       for frac in (0.75, 1.5)]
+        verdicts = []
+        for scale in scales:
+            g = h + scale * skew
+            d = g - g.conj().T
+            want = not d.any() or op_norm(d) <= 1e-12 * max(op_norm(g), 1.0)
+            if want:
+                assert same_bits(Gram(g).matrix, (g + g.conj().T) / 2.0)
+            else:
+                with pytest.raises(ValueError,
+                                   match="^gram matrix is not Hermitian$"):
+                    Gram(g)
+            verdicts.append(want)
+        if skew.any():
+            assert verdicts[-2:] == [True, False]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", SIZES)
+def test_diagonal_verdicts_call_no_eigensolver(n, complex_, lapack_calls):
+    # magnitudes 1e-30 .. 1e30 (squared in D* D): LAPACK does not rescale
+    rng = np.random.default_rng(n)
+    a, d = (np.diag(spread_diagonal(rng, n, complex_)) for _ in range(2))
+    zero = np.zeros((n, n))
+    node = SystemNode(a, zero, zero, d)
+    want = [dense_herm_eigvalsh(a)[-1],
+            dense_herm_eigvalsh(lmi_block_by_hand(node))[-1]]
+    del lapack_calls[:]
+    got = [dissipativity_margin(a), passivity_check(node)]
+    assert lapack_calls == []
+    assert same_bits(np.array(got), np.array(want))
+
+
+def test_one_eigensolver_call_and_one_diagonality_test():
+    """eigvalsh is named once in src/, in numkernel, and no other module
+    names _exact_diagonal, so every Hermitian verdict reads one rule."""
+    package = os.path.dirname(semilab.__file__)
+    found = {}
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(package, fname)) as f:
+            tree = ast.parse(f.read(), fname)
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in ("eigvalsh", "_exact_diagonal"):
+                found.setdefault(name, []).append(fname)
+    assert found["eigvalsh"] == ["numkernel.py"]
+    assert set(found["_exact_diagonal"]) == {"numkernel.py"}
 
 
 class TestDissipativityMargin:

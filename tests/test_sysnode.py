@@ -13,6 +13,13 @@ from semilab.sysnode import (
 from conftest import random_dissipative_ext
 
 
+# one matrix and a stack whose member 1 has A + A* = inf
+OVERFLOWING = pytest.mark.parametrize("a, prefix", [
+    (np.array([[1e308]]), ""),
+    (np.stack([np.eye(1), [[1e308]]]), "stack member 1: "),
+], ids=["one", "stack"])
+
+
 def wave_toy():
     """2-D skew fixture ceil(0 & 1 \\ -1 & 0) split as 1+1 blocks."""
     return ExtendedOperator(np.zeros((1, 1)), np.array([[1.0]]),
@@ -45,6 +52,14 @@ class TestExtendedOperator:
     def test_exactly_skew_needs_no_norm(self, svd_calls):
         assert wave_ext(Grid1D(8)).skew
         assert svd_calls == []
+
+    @pytest.mark.filterwarnings("error")
+    @OVERFLOWING
+    def test_skew_refuses_an_overflowing_hermitian_part(self, a, prefix):
+        zero = np.zeros_like(a)
+        with pytest.raises(ValueError, match="^%sextended operator has a "
+                           "non-finite Hermitian part$" % prefix):
+            ExtendedOperator(a, zero, zero, zero).skew
 
     def test_dissipative_flag(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
@@ -201,3 +216,20 @@ class TestPassivityCheck:
         zero = np.zeros((1, 1), dtype=complex)
         node = SystemNode(zero, zero, zero, np.array([[2.0 + 0j]]))
         assert passivity_check(node) == pytest.approx(3.0)
+
+    @pytest.mark.filterwarnings("error")
+    @OVERFLOWING
+    def test_refuses_an_overflowing_block(self, a, prefix):
+        # a nan here would fail passivity_lmi without a cause
+        zero = np.zeros_like(a)
+        with pytest.raises(ValueError, match="^%spassivity block has a "
+                           "non-finite Hermitian part$" % prefix):
+            passivity_check(SystemNode(a, zero, zero, zero))
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_an_overflowing_product(self):
+        zero = np.zeros((1, 1))
+        node = SystemNode(zero, zero, np.array([[1e200]]), zero)
+        with pytest.raises(ValueError, match="^passivity block has a "
+                           "non-finite Hermitian part$"):
+            passivity_check(node)
