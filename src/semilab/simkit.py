@@ -39,9 +39,11 @@ __all__ = [
 _GKL_RTOL = 1e-5
 _GKL_CHECK_EVERY = 4
 _GKL_MAX_STEPS = 512
-# states per step-and-ledger block: the one state buffer and the ledger
-# temporaries stay a few MB whatever the number of steps
-_LEDGER_BLOCK = 4096
+# states per step-and-ledger block, and rows per block of the simulate CSV:
+# the one state buffer holds _LEDGER_BLOCK * dim * 8 bytes (16 if complex),
+# 1.0 MB at dim 127, and each ledger temporary as much, whatever the
+# number of steps
+_LEDGER_BLOCK = 1024
 
 
 def cn_step(a, dt):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import os
@@ -6,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from semilab.cli import (
 )
 from semilab.numkernel import Gram
 from semilab.pdelab import Grid1D
-from semilab.simkit import Trajectory
+from semilab.simkit import _LEDGER_BLOCK, Trajectory
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -282,7 +285,9 @@ class TestRunVerify:
 
 class TestRunSimulate:
     def simulate(self, text):
-        return run_simulate(parse_config(text))
+        # the CSV comes as lazy text blocks; these tests read it whole
+        report, blocks = run_simulate(parse_config(text))
+        return report, "".join(blocks)
 
     def test_viscous_decay(self):
         report, csv_text = self.simulate(
@@ -370,23 +375,36 @@ class TestRunSimulate:
         assert report.body() == dense_report.body()
         assert csv_text == dense_csv
 
-    def test_csv_bytes_match_per_row_format(self, monkeypatch):
+    @pytest.mark.parametrize("nrows, block_lines", [
+        (7, [1 + 7]),
+        (2 * _LEDGER_BLOCK + 1, [1 + _LEDGER_BLOCK, _LEDGER_BLOCK, 1]),
+    ], ids=["one-block", "block-edges"])
+    def test_csv_bytes_match_per_row_format(self, monkeypatch, nrows,
+                                            block_lines):
         dt = 0.1
-        times = dt * np.arange(7)
-        energy = np.array([1.0, 1.0 + 1e-6, np.nextafter(1.0 + 1e-6, 2.0),
-                           0.1 + 0.2, 1e-300, 0.0, 2.0 / 3.0])
+        times = dt * np.arange(nrows)
+        energy = np.resize([1.0, 1.0 + 1e-6, np.nextafter(1.0 + 1e-6, 2.0),
+                            0.1 + 0.2, 1e-300, 0.0, 2.0 / 3.0], nrows)
+        if nrows > _LEDGER_BLOCK:
+            # the flag flips from the last row of the first block to the
+            # first row of the second
+            energy[_LEDGER_BLOCK - 1:_LEDGER_BLOCK + 1] = energy[1:3]
         traj = Trajectory(dt, times, energy)
         monkeypatch.setattr(semilab.cli, "simulate_semigroup",
                             lambda *args: traj)
-        _, csv_text = self.simulate("experiment = viscous\nn = 4\n")
+        _, blocks = run_simulate(parse_config("experiment = viscous\nn = 4\n"))
+        blocks = list(blocks)
+        assert [block.count("\n") for block in blocks] == block_lines
         bound = energy[0] * (1.0 + 1e-6)
         lines = ["t,energy,norm_bound_ok"]
         for t, e in zip(traj.times, traj.energy):
             lines.append("%s,%s,%d" % (repr(float(t)), repr(float(e)),
                                        1 if e <= bound else 0))
-        assert csv_text == "\n".join(lines) + "\n"
+        assert "".join(blocks) == "\n".join(lines) + "\n"
         flags = [line[-1] for line in lines[1:]]
-        assert flags == ["1", "1", "0", "1", "1", "1", "1"]
+        assert flags[:7] == ["1", "1", "0", "1", "1", "1", "1"]
+        if nrows > _LEDGER_BLOCK:
+            assert flags[_LEDGER_BLOCK - 1:_LEDGER_BLOCK + 1] == ["1", "0"]
 
 
 class TestRunIonorm:
@@ -610,6 +628,88 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: cannot write %s: " % bad)
         assert "Traceback" not in captured.err
+
+    def test_write_error_on_a_later_block_exits_two(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the CSV is formatted as it is written, so the disk can fill up
+        # after its first block has gone out
+        class FullAfterOneBlock(object):
+            def __init__(self):
+                self.blocks = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def write(self, text):
+                if self.blocks:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.blocks.append(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+        csv_file = FullAfterOneBlock()
+        real_open = open
+
+        def open_full_csv(path, *args, **kwargs):
+            if os.path.basename(path) == "simulate.csv":
+                return csv_file
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(semilab.cli, "open", open_full_csv, raising=False)
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 4\ndt = 0.5\nT = %r\n"
+                      % (0.5 * 2 * _LEDGER_BLOCK))
+        out = tmp_path / "o"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write %s: %s\n" % (
+            out / "simulate.csv", os.strerror(errno.ENOSPC))
+        assert [block.count("\n") for block in csv_file.blocks] == \
+            [1 + _LEDGER_BLOCK]
+
+    def test_wall_time_covers_the_writing(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a clock that moves only while the outputs are written: the
+        # stderr line must still count that time
+        clock = [0.0]
+        real_write = semilab.cli._write_outputs
+
+        def slow_write(out_dir, outputs):
+            real_write(out_dir, outputs)
+            clock[0] += 2.5
+
+        monkeypatch.setattr(semilab.cli, "time",
+                            types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(semilab.cli, "_write_outputs", slow_write)
+        cfg = self.write_config(tmp_path,
+                                "experiment = viscous\nn = 4\nT = 0.1\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "wall time: 2.500 s\n"
+
+    def test_simulate_memory_does_not_grow_with_the_csv(self, tmp_path):
+        # 24 more blocks of steps may add the times, the energies and
+        # their differences (24 B a step), not the CSV text or its rows,
+        # which take about 160 B a step when held whole
+        peaks = []
+        for nblocks in (8, 32):
+            cfg = self.write_config(
+                tmp_path, "experiment = viscous\nn = 4\ndt = 0.01\nT = %r\n"
+                          % (0.01 * nblocks * _LEDGER_BLOCK))
+            tracemalloc.start()
+            rc = main(["simulate", cfg, "--out", str(tmp_path / "o")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert rc == 0
+            csv_path = tmp_path / "o" / "simulate.csv"
+            with open(csv_path, encoding="utf-8") as handle:
+                assert sum(1 for _ in handle) == 2 + nblocks * _LEDGER_BLOCK
+        assert peaks[1] - peaks[0] <= 40 * 24 * _LEDGER_BLOCK
 
     def test_no_command_exits_two(self):
         assert main([]) == 2

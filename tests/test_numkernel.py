@@ -28,7 +28,7 @@ from semilab.numkernel import (
     svd_solve,
 )
 from semilab.pdelab import Grid1D, PdeCoefficients, energy_gram, wave_ext
-from semilab.simkit import _LEDGER_BLOCK, simulate_semigroup
+from semilab.simkit import simulate_semigroup
 from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
@@ -229,8 +229,8 @@ class TestGram:
         g = Gram(np.diag([4.0, 1.0]))
         assert g.weighted_vector_norm(np.array([1.0, 0.0])) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("nrows", [1, _LEDGER_BLOCK - 1, _LEDGER_BLOCK,
-                                       _LEDGER_BLOCK + 1])
+    # one row, and row counts on both sides of a power of two
+    @pytest.mark.parametrize("nrows", [1, 4095, 4096, 4097])
     @pytest.mark.parametrize("complex_rows", [False, True])
     def test_squared_norms_match_per_row_oracle(self, rng, nrows,
                                                 complex_rows):

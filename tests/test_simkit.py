@@ -274,10 +274,12 @@ class TestSimulateSemigroup:
         e0 = real.energy[0]
         assert np.abs(real.energy - cplx.energy).max() <= 1e-13 * e0
 
-    @pytest.mark.parametrize("nsamples", [simkit._LEDGER_BLOCK - 1,
-                                          simkit._LEDGER_BLOCK,
-                                          simkit._LEDGER_BLOCK + 1,
-                                          2 * simkit._LEDGER_BLOCK + 1])
+    # a last block one row short of full, full, of one row; and eight
+    # carries between blocks
+    @pytest.mark.parametrize("nsamples", [4 * simkit._LEDGER_BLOCK - 1,
+                                          4 * simkit._LEDGER_BLOCK,
+                                          4 * simkit._LEDGER_BLOCK + 1,
+                                          8 * simkit._LEDGER_BLOCK + 1])
     def test_ledger_blocks_match_per_step_norms(self, nsamples):
         a, gram, x0 = self.viscous_fixture(4)
         dt = 1e-3
