@@ -11,11 +11,12 @@ across runs.  The simulate CSV is formatted and written one block of
 rows at a time, so a run's memory does not grow with the CSV's length.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
 configuration error, or an output file that cannot be written (one
-stderr line naming the path), 3 an unexpected error (one stderr line,
-no traceback).
+stderr line naming the path; the files the run had opened are removed),
+3 an unexpected error (one stderr line, no traceback).
 """
 
 import argparse
+import contextlib
 import math
 import numbers
 import os
@@ -512,7 +513,8 @@ def run_simulate(config):
     holds one block at a time.  CSV columns are t, energy,
     norm_bound_ok; norm_bound_ok flags rows whose energy stays within
     (1 + 1e-6) of the start.  A config asking for more than
-    MAX_SIMULATE_STEPS steps is refused before any setup.
+    MAX_SIMULATE_STEPS steps is refused before any setup, and one whose
+    exponential step overflows is refused by its dt.
     """
     _require_command(config, "simulate")
     # T/dt rounds above the budget; an overflowing ratio is refused too
@@ -520,8 +522,13 @@ def run_simulate(config):
         raise ValueError("T / dt must be at most %d steps, got T = %r, "
                          "dt = %r" % (MAX_SIMULATE_STEPS, config.T, config.dt))
     generator, gram, x0 = _simulate_setup(config)
-    traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,
-                              config.stepper)
+    try:
+        traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,
+                                  config.stepper)
+    except OverflowError as exc:
+        # only the exponential step e^{A dt} overflows, for a dt too large
+        raise ValueError("dt = %r is too large a step: %s"
+                         % (config.dt, exc)) from exc
     energy = traj.energy
     checks = []
     ratio = float(energy.max() / energy[0])
@@ -592,17 +599,24 @@ def _write_outputs(out_dir, outputs):
 
     Each block is written as it comes, so a lazy iterator of blocks is
     never held whole.  An OSError, also one raised on a later block,
-    becomes a ValueError naming the path that failed, so it exits 2 like
-    any other bad setting of the run.
+    removes every file this call opened, so no partial output passes for
+    a whole one, and becomes a ValueError naming the path that failed, so
+    it exits 2 like any other bad setting of the run.  A path it could
+    not open, and the directory, are left as they are.
     """
     path = out_dir
+    opened = []
     try:
         os.makedirs(out_dir, exist_ok=True)
         for name, blocks in outputs:
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                opened.append(path)
                 handle.writelines(blocks)
     except OSError as exc:
+        for done in opened:
+            with contextlib.suppress(OSError):
+                os.remove(done)
         raise ValueError("cannot write %s: %s"
                          % (path, exc.strerror or exc)) from exc
 

@@ -9,13 +9,13 @@ rule: ``_hermitian`` forms (X + X*)/2, refusing a non-finite one by
 name, and ``_herm_eigvalsh`` makes the package's one eigensolver call.
 A matrix whose off-diagonal entries are all exactly zero
 (``_exact_diagonal`` alone decides it) keeps its dense carrier, but its
-Hermitian eigenvalues, Gram factor and products come from the diagonal,
-with the dense operation's values; every other matrix takes the dense
-path.  This module provides the shared plumbing: Hermitian parts,
-dissipativity margins, operator norms, a matrix exponential (Higham's
-2005 degree-13 scaling and squaring, with theta_13 = 5.37), contraction
-certificates, and SVD solves; a weighted quantity is the plain one of
-``Gram.similar(a)``.
+Hermitian eigenvalues and products come from the diagonal, with the
+dense operation's values; every other matrix takes the dense path.  This
+module provides the shared plumbing: Hermitian parts, dissipativity
+margins, operator norms, a matrix exponential (Higham's 2005 degree-13
+scaling and squaring, with theta_13 = 5.37), contraction certificates,
+SVD solves, and ``Gram``, a validated energy weight whose one use is the
+weighted norms of a trajectory.
 
 The primitives take one matrix or a stack of shape (..., n, n) through
 the same code: a stack gives one value per member (an array over the
@@ -35,9 +35,8 @@ Frobenius bound ||a||_F ||a^{-1}||_F >= cond(a) settles it with no SVD
 when it is below COND_LIMIT / 100, and the values-only SVD is the
 fallback (``_require_regular_given``, used by the Crank-Nicolson step).
 The one-shot ``svd_solve`` (singular values, then LU) keeps the same
-rule but no longer has a caller in the package.  ``expm`` and ``Gram``
-solve against (13, 13) Pade denominators and Cholesky factors with
-numpy directly.
+rule but no longer has a caller in the package.  ``expm`` solves
+against its (13, 13) Pade denominator with numpy directly.
 """
 
 import math
@@ -288,12 +287,11 @@ def svd_solve(a, b, name="matrix"):
 class Gram(object):
     """Hermitian positive definite weight H defining <x,y>_H = <Hx, y>.
 
-    The matrix is validated (Hermitian within 1e-12 relative, with a
-    finite Hermitian part, positive definite) and factored once as
-    H = L L* for ``similar``: a weighted quantity of a is the plain one of
-    L* a L^{-*}.  The Hermitian test's 2-norms run only on a nonzero skew
-    part m - herm(m).  An exact diagonal d is factored as L = diag(sqrt(d)),
-    positive definite iff d > 0, and multiplies as a scaling.
+    The matrix is validated once and kept as ``matrix``: Hermitian within
+    1e-12 relative, with a finite Hermitian part, and positive definite,
+    the smallest eigenvalue from ``_herm_eigvalsh`` above zero (for an
+    exact diagonal d, d > 0, with no eigensolver).  The Hermitian test's
+    2-norms run only on a nonzero skew part m - herm(m).
     """
 
     def __init__(self, matrix):
@@ -305,41 +303,9 @@ class Gram(object):
         skew = m - h
         if skew.any() and op_norm(skew) > 0.5e-12 * max(op_norm(m), 1.0):
             raise ValueError("gram matrix is not Hermitian")
-        diag = _exact_diagonal(h)
-        if diag is None:
-            try:
-                chol = np.linalg.cholesky(h)
-            except np.linalg.LinAlgError:
-                raise ValueError("gram matrix is not positive definite")
-        else:
-            # Cholesky of a diagonal: sqrt(d), failing unless d > 0
-            if not (diag.real > 0.0).all():
-                raise ValueError("gram matrix is not positive definite")
-            chol = np.diag(np.sqrt(diag.real)).astype(h.dtype, copy=False)
+        if not (_herm_eigvalsh(h, "gram matrix") > 0.0).all():
+            raise ValueError("gram matrix is not positive definite")
         self.matrix = h
-        self.cholesky = chol
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def check_dim(self, n):
-        """Raise ValueError unless an operator of dimension ``n`` fits H."""
-        if n != self.dim:
-            raise ValueError("operator dimension %d does not match gram "
-                             "dimension %d" % (n, self.dim))
-
-    def similar(self, a):
-        """L* a L^{-*} for H = L L*, the one reader of the Cholesky factor.
-
-        Its Hermitian part is L^{-1} herm(HA) L^{-*} and its exponential
-        L* e^{At} L^{-*}: its plain margin and norms are a's H-weighted ones.
-        """
-        m = _square(a)
-        self.check_dim(m.shape[-1])
-        l = self.cholesky
-        # right-solve against L^*, using (L^*)^T = conj(L)
-        return np.linalg.solve(l.conj(), (l.conj().T @ m).mT).mT
 
     def squared_norms(self, rows):
         """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
@@ -357,16 +323,14 @@ class Gram(object):
         return float(math.sqrt(self.squared_norms(v)[0]))
 
 
-def dissipativity_margin(a, gram=None):
+def dissipativity_margin(a):
     """Largest eigenvalue of the Hermitian part of ``a``.
 
-    Without a gram this is lambda_max((A + A*)/2); ``a`` is dissipative
-    (Re <Ax, x> <= 0 for all x) iff the result is <= 0.  With a gram H the
-    margin is taken in the H inner product, lambda_max of the pencil
-    (HA + A*H, 2H): the plain margin of ``gram.similar(a)``.
+    This is lambda_max((A + A*)/2); ``a`` is dissipative (Re <Ax, x> <= 0
+    for all x) iff the result is <= 0.  A generator G = A H with a Gram H
+    needs no weighted margin: Re <HGx, x> = Re <Ay, y> with y = Hx, so G
+    is dissipative in the H inner product iff A is plainly dissipative.
     """
-    if gram is not None:
-        a = (gram if isinstance(gram, Gram) else Gram(gram)).similar(a)
     m = _square(a)
     return _per_member(_herm_eigvalsh(m, "matrix")[..., -1], m)
 
@@ -397,7 +361,8 @@ def expm(a, t=1.0):
     the approximant's backward error is at most the unit roundoff 2^-53;
     the tests check agreement with scipy.linalg.expm within 1e-12
     relative up to ||At||_1 = 40 theta_13 (six squarings).  The rounding
-    errors of the squarings grow with s, and overflow raises.  Each
+    errors of the squarings grow with s, and an overflow of At or of a
+    squaring raises OverflowError, with no numpy warning.  Each
     member of a stack gets its own number of squarings; a zero matrix,
     and any matrix at t = 0, gives the identity exactly.
 
@@ -410,12 +375,14 @@ def expm(a, t=1.0):
     t = float(t)
     if not (t >= 0.0) or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative, got %r" % t)
-    m = m * t
     n = m.shape[-1]
     if n == 0:
-        return m.copy()
-    # the 1-norm (largest column sum) of each member
-    nrm = np.abs(m).sum(axis=-2).max(axis=-1)
+        return m * t
+    # an overflow is refused by name below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = m * t
+        # the 1-norm (largest column sum) of each member
+        nrm = np.abs(m).sum(axis=-2).max(axis=-1)
     _refuse(~np.isfinite(nrm), "||At|| overflowed", kind=OverflowError)
     squarings = np.array(
         [math.ceil(math.log2(v / _EXPM_THETA)) if v > _EXPM_THETA else 0
@@ -433,12 +400,13 @@ def expm(a, t=1.0):
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
     x = np.linalg.solve(v - u, v + u)
-    for k in range(squarings.max(initial=0)):
-        live = squarings > k
-        if live.all():
-            x = x @ x
-        else:
-            x[live] = x[live] @ x[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(squarings.max(initial=0)):
+            live = squarings > k
+            if live.all():
+                x = x @ x
+            else:
+                x[live] = x[live] @ x[live]
     if not np.isfinite(x).all():
         _refuse(~np.isfinite(x).all(axis=(-2, -1)),
                 "matrix exponential overflowed", kind=OverflowError)
@@ -449,30 +417,27 @@ ContractionReport = namedtuple(
     "ContractionReport", ["times", "norms", "tol", "passed"])
 ContractionReport.__doc__ = """Norms of e^{At} at sampled times.
 
-passed is true when every sampled norm (of ``Gram.similar(a)`` with a
-gram) is at most 1 + tol, the finite-dimensional Lumer-Phillips test.
-For a stack, each norm and passed hold one entry per member.
+passed is true when every sampled norm is at most 1 + tol, the
+finite-dimensional Lumer-Phillips test.  For a stack, each norm and
+passed hold one entry per member.
 """
 
 
-def contraction_certificate(a, gram=None, times=(0.1, 1.0, 10.0), tol=1e-10):
+def contraction_certificate(a, *, times=(0.1, 1.0, 10.0), tol=1e-10):
     """Sample ||e^{At}|| and certify the contraction property.
 
     Parameters
     ----------
     a : square matrix
-    gram : optional Gram; when given the norms are H-weighted
-    times : nonempty iterable of nonnegative times
-    tol : slack added to 1 when deciding the pass flag
+    times : nonempty iterable of finite nonnegative times (keyword only)
+    tol : slack added to 1 when deciding the pass flag (keyword only)
     """
     m = _square(a)
     times = tuple(float(s) for s in times)
     if not times:
         raise ValueError("times must be nonempty")
-    if any(s < 0 for s in times):
-        raise ValueError("times must be nonnegative")
-    if gram is not None:
-        m = (gram if isinstance(gram, Gram) else Gram(gram)).similar(m)
+    if not all(0.0 <= s < math.inf for s in times):
+        raise ValueError("times must be finite and nonnegative")
     norms = tuple(op_norm(expm(m, s)) for s in times)
     passed = _per_member(np.less_equal(norms, 1.0 + tol).all(axis=0), m)
     return ContractionReport(times, norms, tol, passed)

@@ -167,7 +167,9 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
         raise ValueError("x0 must be finite")
     if gram is not None:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
-        gram.check_dim(m.shape[0])
+        if len(gram.matrix) != m.shape[0]:
+            raise ValueError("operator dimension %d does not match gram "
+                             "dimension %d" % (m.shape[0], len(gram.matrix)))
     nsteps = _steps_of(T, dt)
     if stepper == "expm":
         step = expm(m, float(dt))
@@ -230,8 +232,8 @@ def _toeplitz_blocks(node, T, nsteps):
     if nsteps < 4:
         raise ValueError("nsteps must be at least 4, got %d" % nsteps)
     dt = float(T) / nsteps
-    if dt <= 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("T must be positive and finite, got %r" % float(T))
     e_step, phi, theta, psi2 = _quadrature_matrices(node.a, node.b, dt)
     blocks = np.empty((nsteps, node.noutputs, node.ninputs),
                       dtype=np.result_type(node.a, node.b, node.c, node.d))

@@ -673,6 +673,53 @@ class TestMain:
         assert [block.count("\n") for block in csv_file.blocks] == \
             [1 + _LEDGER_BLOCK]
 
+    @pytest.mark.parametrize("failure", ["later-block", "csv-is-a-directory"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys,
+                                           monkeypatch, failure):
+        # report.txt, ending `overall: PASS`, must not stay beside a CSV
+        # that was cut short or never written
+        out = tmp_path / "o"
+        if failure == "later-block":
+            real_blocks = semilab.cli._csv_blocks
+
+            def full_after_one_block(*args):
+                blocks = real_blocks(*args)
+                yield next(blocks)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(semilab.cli, "_csv_blocks",
+                                full_after_one_block)
+        else:
+            (out / "simulate.csv").mkdir(parents=True)
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 4\ndt = 0.5\nT = %r\n"
+                      % (0.5 * 2 * _LEDGER_BLOCK))
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write %s: " % (out / "simulate.csv"))
+        # the run's own files are gone; what it did not create stays
+        assert not (out / "report.txt").exists()
+        assert (out / "simulate.csv").is_dir() == (
+            failure == "csv-is-a-directory")
+        assert out.is_dir()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt, overflow", [
+        ("1e+308", "||At|| overflowed"),
+        ("1e+300", "matrix exponential overflowed"),
+    ], ids=["At", "squarings"])
+    def test_overflowing_step_is_refused_by_dt(self, tmp_path, capsys, dt,
+                                               overflow):
+        # the undamped wave's one step e^{A dt} cannot be formed at such a
+        # dt: At overflows, or so do its squarings
+        cfg = self.write_config(
+            tmp_path, "experiment = wave_heat\nn = 32\nT = %s\ndt = %s\n"
+                      % (dt, dt))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: dt = %s is too large a step: %s\n" % (dt, overflow)
+        assert not (tmp_path / "o").exists()
+
     def test_wall_time_covers_the_writing(self, tmp_path, capsys,
                                           monkeypatch):
         # a clock that moves only while the outputs are written: the

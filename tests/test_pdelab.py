@@ -3,7 +3,12 @@ import pytest
 
 from semilab.cayley import AccretiveOperator
 from semilab.feedback import internal_loop
-from semilab.numkernel import contraction_certificate, dissipativity_margin, op_norm
+from semilab.numkernel import (
+    Gram,
+    contraction_certificate,
+    dissipativity_margin,
+    op_norm,
+)
 from semilab.pdelab import (
     Grid1D,
     PdeCoefficients,
@@ -14,12 +19,14 @@ from semilab.pdelab import (
     energy_gram,
     grad_div_pair,
     neumann_heat_ext,
+    sine_start,
     wave_combined_ext,
     wave_ext,
     wave_structural_ext,
     wave_viscous_ext,
 )
 from semilab import sysnode
+from semilab.simkit import simulate_semigroup
 from semilab.sysnode import external_cayley, passivity_check
 
 
@@ -118,6 +125,36 @@ class TestGradDivPair:
         assert all(abs(o - 2.0) <= 0.1 for o in orders)
 
 
+def simulate_case(experiment):
+    """(A_S, Gram H, start) of a simulate experiment, on 10 cells with
+    non-constant coefficients."""
+    grid = Grid1D(10)
+    coeffs = PdeCoefficients(grid, rho=lambda x: 1.0 + x,
+                             young=lambda x: 2.0 - x, k_v=lambda x: 1.0 + x,
+                             k_s=lambda x: 0.5 + x, s_fun=lambda x: 1.0 + x,
+                             kappa=1.0)
+    if experiment == "degenerate":
+        # the run steps A_S itself, which is h^{-1} A_S H for H = h I
+        return (degenerate_as1(grid, coeffs), Gram(grid.h * np.eye(10)),
+                sine_start(grid, degenerate=True))
+    builder = {"viscous": wave_viscous_ext, "structural": wave_structural_ext,
+               "combined": wave_combined_ext}[experiment]
+    ext, gram, s_op = builder(grid, coeffs, require_uniform=True)
+    return internal_loop(ext, s_op).a_s, gram, sine_start(grid)
+
+
+@pytest.mark.parametrize("experiment",
+                         ["viscous", "structural", "combined", "degenerate"])
+def test_simulate_generator_dissipative_in_energy_norm(experiment):
+    a_s, gram, x0 = simulate_case(experiment)
+    # G = A_S H is H-dissipative iff A_S is dissipative:
+    # Re <H G x, x> = Re <A_S y, y> with y = H x
+    assert dissipativity_margin(a_s) <= 1e-10
+    energy = simulate_semigroup(a_s @ gram.matrix, gram, x0, T=0.5, dt=0.01,
+                                stepper="crank_nicolson").energy
+    assert (np.diff(energy) <= 1e-12 * energy[0]).all()
+
+
 class TestWaveFamilies:
     def test_wave_ext_skew(self):
         ext = wave_ext(Grid1D(12))
@@ -132,14 +169,6 @@ class TestWaveFamilies:
         ref = np.block([[-np.diag(coeffs.k_v), dv],
                         [g, np.zeros((10, 10))]])
         assert np.allclose(loop.a_s, ref)
-
-    def test_viscous_generator_dissipative_in_energy_norm(self):
-        grid = Grid1D(10)
-        coeffs = PdeCoefficients(grid, rho=lambda x: 1.0 + x, young=2.0,
-                                 k_v=1.0)
-        ext, gram, s_v = wave_viscous_ext(grid, coeffs)
-        generator = internal_loop(ext, s_v).a_s @ gram.matrix
-        assert dissipativity_margin(generator, gram) <= 1e-10
 
     def test_viscous_uniform_requirement(self):
         grid = Grid1D(10)

@@ -438,6 +438,17 @@ class TestIoMapNorm:
         with pytest.raises(TypeError):
             io_map_norm(np.eye(2), 1.0, 16)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("call", [
+        lambda node, t: io_map_norm(node, t, 16),
+        lambda node, t: feedthrough_deviation(node, (1.0, t), 16),
+    ], ids=["io_map_norm", "feedthrough_deviation"])
+    def test_refuses_a_bad_horizon_by_name(self, call, horizon):
+        node = scalar_node(-1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="^T must be positive and "
+                                             "finite, got %r$" % horizon):
+            call(node, horizon)
+
 
 class TestFeedthroughDeviation:
     def test_pure_feedthrough_has_none(self):

@@ -28,7 +28,6 @@ from semilab.cayley import (
 from semilab.feedback import a_s_via_feedback, check_admissible, internal_loop
 from semilab.numkernel import (
     _EXPM_THETA,
-    Gram,
     SvdFactor,
     as_complex_matrix,
     contraction_certificate,
@@ -93,9 +92,6 @@ def test_numkernel_stacks_match_member_loops(n, size, seed):
     assert as_complex_matrix(m) is m
     for primitive in (herm_part, op_norm, dissipativity_margin):
         assert_members(primitive(m), [primitive(x) for x in m])
-    gram = Gram(np.diag(np.linspace(0.5, 2.0, n)))
-    assert_members(dissipativity_margin(m, gram),
-                   [dissipativity_margin(x, gram) for x in m])
     # members of different norms take different numbers of squarings: at
     # t = 1 the 1-norms theta_13 / 2 take none and 2 theta_13 take one
     unit = m / np.abs(m).sum(axis=-2).max(axis=-1)[:, None, None]
@@ -107,13 +103,11 @@ def test_numkernel_stacks_match_member_loops(n, size, seed):
     # some members expand, so the passed flags differ between members
     gaps = np.linspace(-0.05, 0.2, size)
     dissipative = np.stack([random_dissipative(rng, n, gap) for gap in gaps])
-    for weight in (None, gram):
-        report = contraction_certificate(dissipative, gram=weight)
-        singles = [contraction_certificate(x, gram=weight)
-                   for x in dissipative]
-        for i, norms in enumerate(report.norms):
-            assert_members(norms, [r.norms[i] for r in singles])
-        assert_members(report.passed, [r.passed for r in singles])
+    report = contraction_certificate(dissipative)
+    singles = [contraction_certificate(x) for x in dissipative]
+    for i, norms in enumerate(report.norms):
+        assert_members(norms, [r.norms[i] for r in singles])
+    assert_members(report.passed, [r.passed for r in singles])
     for anchor in (False, True):
         factor = SvdFactor(m, unit_anchor=anchor)
         singles = [SvdFactor(x, unit_anchor=anchor) for x in m]
