@@ -27,7 +27,6 @@ from .numkernel import (
     contraction_certificate,
     dissipativity_margin,
     expm,
-    herm_part,
     op_norm,
 )
 from .pdelab import (
@@ -39,7 +38,6 @@ from .pdelab import (
     degenerate_loop_path,
     energy_gram,
     grad_div_pair,
-    neumann_heat_ext,
     wave_combined_ext,
     wave_ext,
     wave_structural_ext,
@@ -94,10 +92,8 @@ __all__ = [
     "external_cayley",
     "feedthrough_deviation",
     "grad_div_pair",
-    "herm_part",
     "internal_loop",
     "io_map_norm",
-    "neumann_heat_ext",
     "node_apply",
     "op_norm",
     "passivity_check",

@@ -559,12 +559,19 @@ def _fixture_node(config):
 
 
 def run_ionorm(config):
-    """Sweep input/output-map norms over {T/4, T/2, T, 2T}; (report, CSV)."""
+    """Sweep input/output-map norms over {T/4, T/2, T, 2T}; (report, CSV).
+
+    A T whose step exponential overflows is refused by name.
+    """
     _require_command(config, "ionorm")
     node = _fixture_node(config)
     horizons = [config.T * f for f in (0.25, 0.5, 1.0, 2.0)]
-    estimates = [io_map_norm(node, horizon, config.nsteps)
-                 for horizon in horizons]
+    try:
+        estimates = [io_map_norm(node, horizon, config.nsteps)
+                     for horizon in horizons]
+    except OverflowError as exc:
+        raise ValueError("T = %r is too long a horizon: %s"
+                         % (config.T, exc)) from exc
     norms = [est.norm_estimate for est in estimates]
     biases = [est.bias for est in estimates]
     checks = []

@@ -4,18 +4,18 @@ Every operator in this package is a dense matrix over the complex field;
 a real one is carried as float64 (zero imaginary part) and numpy's
 promotion makes a result complex128 only when an operand is, with
 ``as_complex_matrix`` the one coercion.  Every dissipativity,
-accretivity, skewness and passivity verdict reads one Hermitian-part
-rule: ``_hermitian`` forms (X + X*)/2, refusing a non-finite one by
-name, and ``_herm_eigvalsh`` makes the package's one eigensolver call.
-A matrix whose off-diagonal entries are all exactly zero
-(``_exact_diagonal`` alone decides it) keeps its dense carrier, but its
-Hermitian eigenvalues and products come from the diagonal, with the
+accretivity, passivity and positive-definiteness verdict reads one
+Hermitian-part rule: ``_hermitian`` forms (X + X*)/2, refusing a
+non-finite one by name, and ``_herm_eigvalsh`` makes the package's one
+eigensolver call.  A matrix whose off-diagonal entries are all exactly
+zero (``_exact_diagonal`` alone decides it) keeps its dense carrier, but
+its Hermitian eigenvalues and products come from the diagonal, with the
 dense operation's values; every other matrix takes the dense path.  This
-module provides the shared plumbing: Hermitian parts, dissipativity
-margins, operator norms, a matrix exponential (Higham's 2005 degree-13
-scaling and squaring, with theta_13 = 5.37), contraction certificates,
-SVD solves, and ``Gram``, a validated energy weight whose one use is the
-weighted norms of a trajectory.
+module provides the shared plumbing: dissipativity margins, operator
+norms, a matrix exponential (Higham's 2005 degree-13 scaling and
+squaring, with theta_13 = 5.37), contraction certificates, SVD solves,
+and ``Gram``, a validated energy weight whose one use is the weighted
+norms of a trajectory.
 
 The primitives take one matrix or a stack of shape (..., n, n) through
 the same code: a stack gives one value per member (an array over the
@@ -48,7 +48,6 @@ __all__ = [
     "Gram",
     "ContractionReport",
     "as_complex_matrix",
-    "herm_part",
     "dissipativity_margin",
     "op_norm",
     "expm",
@@ -175,11 +174,6 @@ def _herm_eigvalsh(m, name):
     if d is not None:
         return np.sort(_hermitian(d, name).real)
     return np.linalg.eigvalsh(_hermitian(m, name))
-
-
-def herm_part(a):
-    """(A + A*)/2 of a square matrix, refusing one that overflows."""
-    return _hermitian(_square(a), "matrix")
 
 
 def op_norm(a):

@@ -1,4 +1,4 @@
-"""Mimetic 1-D discretizations of the wave, heat, damped-wave and
+"""Mimetic 1-D discretizations of the wave, damped-wave and
 degenerate-parabolic extended operators.
 
 All constructions live on a staggered grid over (0, 1): scalar unknowns
@@ -34,7 +34,6 @@ __all__ = [
     "degenerate_ext",
     "degenerate_as1",
     "degenerate_loop_path",
-    "neumann_heat_ext",
     "energy_gram",
     "beta_midpoints",
     "sine_start",
@@ -256,7 +255,7 @@ def degenerate_ext(grid, coeffs):
     and the loop channel e on midpoints; beta is sampled at midpoints.
     The coupling x1(1) = -kappa x2(1) is eliminated into the last node
     row, so Re <A_ext v, v> equals -kappa |x2(1)|^2 exactly in the
-    h-weighted inner product and the dissipative flag is exact.
+    h-weighted inner product.
     """
     n = grid.n_cells
     d1, d2, e_block = _degenerate_difference_blocks(grid, coeffs.kappa)
@@ -280,10 +279,11 @@ def degenerate_as1(grid, coeffs):
     h = grid.h
     d1, d2, _ = _degenerate_difference_blocks(grid, coeffs.kappa)
     beta = beta_midpoints(grid, coeffs.alpha_exp)
-    diff = 1.0 / (1.0 / coeffs.s_fun + beta ** 2)
-    # Robin elimination at xi = 1 shrinks the last flux coefficient
-    diff = diff.copy()
-    diff[n - 1] = 1.0 / (1.0 / diff[n - 1] + coeffs.kappa / h)
+    # a subnormal s has 1/s = inf, which gives d = 0, its limit as s -> 0
+    with np.errstate(over="ignore", divide="ignore"):
+        diff = 1.0 / (1.0 / coeffs.s_fun + beta ** 2)
+        # Robin elimination at xi = 1 shrinks the last flux coefficient
+        diff[n - 1] = 1.0 / (1.0 / diff[n - 1] + coeffs.kappa / h)
     return d1 @ (np.diag(diff) @ d2)
 
 
@@ -306,18 +306,3 @@ def degenerate_loop_path(grid, coeffs):
     if stage2.a_s is None:
         raise ValueError("second-stage loop unexpectedly unsolvable")
     return stage2.a_s
-
-
-def neumann_heat_ext(grid, coeffs, beta=None):
-    """Damped-channel heat precursor ceil(0 & Dv \\ G & -diag(beta)^2).
-
-    x1 sits on interior nodes, the loop channel on midpoints.  beta
-    defaults to xi^{-alpha} at midpoints; an explicit per-midpoint sample
-    may be supplied instead (beta = 0 recovers the undamped wave blocks).
-    The internal loop with S = diag(s) equals Dv (S^{-1} + beta^2)^{-1} G.
-    """
-    if beta is None:
-        beta = beta_midpoints(grid, coeffs.alpha_exp)
-    beta = _sample(beta, grid.midpoints, "beta")
-    wave = wave_ext(grid)
-    return ExtendedOperator(wave.a, wave.b, wave.c, np.diag(-beta ** 2))

@@ -86,28 +86,13 @@ def cn_step(a, dt):
     return step
 
 
-class Trajectory(object):
-    """Energy ledger of a sampled semigroup trajectory.
+Trajectory = namedtuple("Trajectory", ["times", "energy"])
+Trajectory.__doc__ = """Energy ledger of a sampled semigroup trajectory.
 
-    times and energy share one length, nsamples.  energy holds the
-    squared state norm (weighted when a Gram was supplied); the states
-    themselves are not kept.
-    """
-
-    def __init__(self, dt, times, energy):
-        self.dt = float(dt)
-        self.times = np.asarray(times, dtype=float)
-        self.energy = np.asarray(energy, dtype=float)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.energy.shape != self.times.shape:
-            raise ValueError("times and energy must share one length")
-        if (self.energy < -1e-15).any():
-            raise ValueError("energy entries must be nonnegative")
-
-    @property
-    def nsamples(self):
-        return self.times.shape[0]
+times and energy are float64 arrays of one length; energy holds the
+squared state norm (weighted when a Gram was supplied).  The states
+themselves are not kept.
+"""
 
 
 IoMapEstimate = namedtuple(
@@ -151,8 +136,9 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     dtype numpy promotes the one-step matrix and x0 to: float64 for a
     real generator and start, complex128 otherwise.  Each block of
     _LEDGER_BLOCK states is reduced to its energies before the next one
-    overwrites it; the states are not kept.  For A dissipative in the
-    supplied inner product the energy is nonincreasing up to roundoff.
+    overwrites it; the states are not kept.  Each energy, |x|^2 or
+    Re(x^* H x) clipped at zero, is nonnegative; for A dissipative in
+    the supplied inner product it is nonincreasing up to roundoff.
     """
     m = as_complex_matrix(a, "A")
     if m.ndim != 2:
@@ -194,7 +180,7 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
             energy[start:stop] = np.einsum("ij,ij->i", rows.conj(), rows).real
         else:
             energy[start:stop] = gram.squared_norms(rows)
-    return Trajectory(dt, times, energy)
+    return Trajectory(times, energy)
 
 
 def _quadrature_matrices(a, b, dt):

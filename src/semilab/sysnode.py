@@ -9,8 +9,8 @@ and the external Cayley system transform, which rewires (e, f) into
 u = (e - f)/sqrt(2), y = (e + f)/sqrt(2), is K = I rescaled.  It turns a
 dissipative extended operator into a scattering-passive node, certified
 by the eigenvalue of an exact LMI block form rather than by trajectories.
-Blocks may be stacks (..., rows, cols) with one batch shape; the flags,
-margins and passivity values then hold one entry per member.
+Blocks may be stacks (..., rows, cols) with one batch shape; the loop
+condition numbers and passivity values then hold one entry per member.
 """
 
 from functools import cached_property
@@ -20,13 +20,10 @@ import numpy as np
 from .numkernel import (
     SvdFactor,
     _herm_eigvalsh,
-    _hermitian,
     _matmul,
     _per_member,
     _require_regular,
     as_complex_matrix,
-    dissipativity_margin,
-    op_norm,
 )
 
 __all__ = [
@@ -84,11 +81,7 @@ class ExtendedOperator(SystemNode):
     """ceil(A11 A12 \\ A21 A22): the system node from loop input e to
     loop output f, with blocks a, b, c, d = A11, A12, A21, A22.
 
-    Input and output are the one loop channel, so A22 is square.  The
-    dissipativity margin of the assembled matrix and the skew defect are
-    computed lazily; the flags ``dissipative`` and ``skew`` report the
-    verified properties.  The skew test skips its two 2-norms when the
-    Hermitian part is exactly zero.
+    Input and output are the one loop channel, so A22 is square.
     """
 
     _names = ("A11", "A12", "A21", "A22")
@@ -103,23 +96,6 @@ class ExtendedOperator(SystemNode):
     def matrix(self):
         """The assembled (nstates + ninputs)-square matrix."""
         return np.block([[self.a, self.b], [self.c, self.d]])
-
-    @cached_property
-    def margin(self):
-        return dissipativity_margin(self.matrix)
-
-    @property
-    def dissipative(self):
-        return self.margin <= 1e-10
-
-    @cached_property
-    def skew(self):
-        full = self.matrix
-        herm = _hermitian(full, "extended operator")
-        exact = ~herm.any(axis=(-2, -1))
-        if not exact.all():
-            exact = exact | (op_norm(herm) <= 0.5e-10 * (1.0 + op_norm(full)))
-        return _per_member(exact, full)
 
 
 def _loop_solve(node, km, name):

@@ -314,6 +314,13 @@ class TestRunSimulate:
             "kappa = 1\n")
         assert report.passed
 
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_takes_a_subnormal_s(self):
+        report, _ = self.simulate(
+            "experiment = degenerate\nn = 8\nT = 0.1\ndt = 0.01\n"
+            "s_fun = constant:1e-320\n")
+        assert report.passed
+
     def test_variable_coefficients(self):
         report, _ = self.simulate(
             "experiment = combined\nn = 8\nT = 0.5\ndt = 0.05\n"
@@ -389,7 +396,7 @@ class TestRunSimulate:
             # the flag flips from the last row of the first block to the
             # first row of the second
             energy[_LEDGER_BLOCK - 1:_LEDGER_BLOCK + 1] = energy[1:3]
-        traj = Trajectory(dt, times, energy)
+        traj = Trajectory(times, energy)
         monkeypatch.setattr(semilab.cli, "simulate_semigroup",
                             lambda *args: traj)
         _, blocks = run_simulate(parse_config("experiment = viscous\nn = 4\n"))
@@ -608,6 +615,26 @@ class TestMain:
             tmp_path, "experiment = ionorm\nfixture = integrator\n"
                       "nsteps = 16\nT = 1e6\n")
         assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fixture", ["integrator", "viscous_cayley",
+                                         "feedthrough", "wave_cayley"])
+    def test_overflowing_horizon_is_refused_by_t(self, tmp_path, capsys,
+                                                 fixture):
+        # the quadrature's step exponential at dt = T/64, the first
+        # horizon's, overflows unless the node is the lossless wave's
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
+                      "nsteps = 16\nT = 1e300\n" % fixture)
+        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if fixture == "wave_cayley":
+            assert rc == 0 and err.startswith("wall time: ")
+        else:
+            assert rc == 2 and err == ("error: T = 1e+300 is too long a "
+                                       "horizon: matrix exponential "
+                                       "overflowed\n")
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, command):

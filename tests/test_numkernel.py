@@ -23,12 +23,11 @@ from semilab.numkernel import (
     contraction_certificate,
     dissipativity_margin,
     expm,
-    herm_part,
     op_norm,
     svd_solve,
 )
 from semilab.pdelab import Grid1D, PdeCoefficients, energy_gram, wave_ext
-from semilab.simkit import simulate_semigroup
+from semilab.simkit import Trajectory, simulate_semigroup
 from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
@@ -67,12 +66,6 @@ class TestBasics:
     def test_as_complex_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[np.inf]]), "a")
-
-    def test_herm_part_is_hermitian(self, rng):
-        m = random_matrix(rng, 6)
-        h = herm_part(m)
-        assert np.allclose(h, h.conj().T)
-        assert np.allclose(herm_part(m - h), 0.0)
 
     def test_op_norm_matches_numpy(self, rng):
         m = random_matrix(rng, 9)
@@ -189,7 +182,8 @@ class TestGram:
             Gram([[1.0, 1e308], [-1e308, 1.0]])
 
     def test_hermitian_matrix_needs_no_norm(self, rng, svd_calls):
-        Gram(herm_part(random_matrix(rng, 6)) + 3 * np.eye(6))
+        m = random_matrix(rng, 6)
+        Gram((m + m.conj().T) / 2.0 + 3 * np.eye(6))
         Gram(np.diag([1.0, 4.0, 0.25]))
         assert svd_calls == []
 
@@ -450,28 +444,24 @@ class TestHermitianRule:
 
     @ONE_OR_STACK
     def test_skew(self, n, complex_, stack):
+        # near-skew extended operators, where A + A* cancels: the margin of
+        # the assembled matrix is the hand-written one, and exactly zero
+        # for the exactly skew one
         rng = np.random.default_rng(n)
         m = random_operand(rng, (3, n + 1, n + 1) if stack else (n + 1,) * 2,
                            complex_)
         k = m - m.conj().mT
-        # k + t I has Hermitian part t I, and t <= bound / 2 is skew: 0.4
-        # and 0.75 of the bound fall on either side, whatever the rounding
-        bound = 1e-10 * (1.0 + np.asarray(op_norm(k)))[..., None, None]
-        fulls = [k + scale * m for scale in (0.0, 1e-14, 1e-11, 1e-9, 1e-6)]
-        fulls += [k + frac * bound * np.eye(n + 1) for frac in (0.4, 0.75)]
-        verdicts = []
-        for full in fulls:
-            defect = full + full.conj().mT
+        for scale in (0.0, 1e-14, 1e-11, 1e-9, 1e-6):
+            full = k + scale * m
             ext = ExtendedOperator(full[..., :n, :n], full[..., :n, n:],
                                    full[..., n:, :n], full[..., n:, n:])
-            want = ~defect.any(axis=(-2, -1)) | (
-                op_norm(defect) <= 1e-10 * (1.0 + np.asarray(op_norm(full))))
-            assert np.array_equal(ext.skew, want)
-            # halving is exact: the norm the test reads is half A + A*'s
+            margin = np.asarray(dissipativity_margin(ext.matrix))
+            assert same_bits(margin, dense_herm_eigvalsh(full)[..., -1])
+            assert scale or not margin.any()
+            # halving is exact: the norm of the Hermitian part is half
+            # A + A*'s
             assert same_bits(np.asarray(op_norm(_hermitian(full, "m"))),
-                             np.asarray(op_norm(defect)) / 2.0)
-            verdicts.append(want)
-        assert np.all(verdicts[-2]) and not np.any(verdicts[-1])
+                             np.asarray(op_norm(full + full.conj().mT)) / 2.0)
 
     def test_gram_symmetry(self, n, complex_):
         rng = np.random.default_rng(n)
@@ -516,13 +506,21 @@ def test_diagonal_verdicts_call_no_eigensolver(n, complex_, lapack_calls):
     assert same_bits(np.array(got), np.array(want))
 
 
+def package_trees():
+    """(file name, parsed module) for every module of the package."""
+    package = os.path.dirname(semilab.__file__)
+    for fname in sorted(os.listdir(package)):
+        if fname.endswith(".py"):
+            with open(os.path.join(package, fname)) as f:
+                yield fname, ast.parse(f.read(), fname)
+
+
 def test_one_eigensolver_call_and_one_diagonality_test():
     """eigvalsh is named once in src/, in numkernel; _exact_diagonal is
     named only where it is defined and inside _matmul and _herm_eigvalsh;
     and no factor of a Gram (cholesky, similar) is named anywhere, so
     every Hermitian verdict, Gram's positive definiteness among them,
     reads one rule."""
-    package = os.path.dirname(semilab.__file__)
     found = {}
 
     def walk(node, fname, function):
@@ -538,11 +536,8 @@ def test_one_eigensolver_call_and_one_diagonality_test():
                 found.setdefault(name, []).append((fname, inside))
             walk(child, fname, inside)
 
-    for fname in sorted(os.listdir(package)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(package, fname)) as f:
-            walk(ast.parse(f.read(), fname), fname, None)
+    for fname, tree in package_trees():
+        walk(tree, fname, None)
     assert found["eigvalsh"] == [("numkernel.py", "_herm_eigvalsh")]
     assert set(found["_exact_diagonal"]) == {
         ("numkernel.py", name)
@@ -550,18 +545,44 @@ def test_one_eigensolver_call_and_one_diagonality_test():
     assert "cholesky" not in found and "similar" not in found
 
 
+def test_unreached_members_stay_deleted():
+    """herm_part, neumann_heat_ext and nsamples are named nowhere in src/,
+    ExtendedOperator defines only __init__ and matrix (and its block
+    names), and a Trajectory is the record (times, energy)."""
+    named, members = set(), None
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
+            named.add(node.attr if isinstance(node, ast.Attribute) else
+                      node.id if isinstance(node, ast.Name) else
+                      node.name if isinstance(node, (
+                          ast.alias, ast.FunctionDef, ast.ClassDef)) else
+                      node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(node, ast.ClassDef) and \
+                    node.name == "ExtendedOperator":
+                members = {child.name for child in node.body
+                           if isinstance(child, ast.FunctionDef)}
+                members |= {target.id for child in node.body
+                            if isinstance(child, ast.Assign)
+                            for target in child.targets}
+    assert not named & {"herm_part", "neumann_heat_ext", "nsamples"}
+    assert members == {"__init__", "matrix", "_names"}
+    assert Trajectory._fields == ("times", "energy")
+
+
 class TestDissipativityMargin:
     def test_zero_matrix(self):
         assert dissipativity_margin(np.zeros((3, 3))) == pytest.approx(0.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("a", [np.diag([1e308, 1.0]),
-                                   np.array([[1.0, 1e308], [1e308, 1.0]])],
-                             ids=["diagonal", "dense"])
-    def test_refuses_an_overflowing_hermitian_part(self, a):
+    @pytest.mark.parametrize("a, prefix", [
+        (np.diag([1e308, 1.0]), ""),
+        (np.array([[1.0, 1e308], [1e308, 1.0]]), ""),
+        (np.stack([np.eye(1), [[1e308]]]), "stack member 1: "),
+    ], ids=["diagonal", "dense", "stack"])
+    def test_refuses_an_overflowing_hermitian_part(self, a, prefix):
         # the margin used to come out as nan, which no tolerance rejects
-        with pytest.raises(ValueError, match="^matrix has a non-finite "
-                                             "Hermitian part$"):
+        with pytest.raises(ValueError, match="^%smatrix has a non-finite "
+                                             "Hermitian part$" % prefix):
             dissipativity_margin(a)
 
     def test_skew_hermitian_margin_zero(self, rng):

@@ -11,7 +11,6 @@ from semilab.feedback import internal_loop
 from semilab.numkernel import Gram, op_norm, svd_solve
 from semilab.pdelab import Grid1D, PdeCoefficients, wave_ext, wave_viscous_ext
 from semilab.simkit import (
-    Trajectory,
     cn_step,
     feedthrough_deviation,
     io_map_norm,
@@ -185,22 +184,12 @@ class TestCnStepSingularityOracle:
             assert message is None
 
 
-class TestTrajectoryContainer:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.1, [0.0, 0.1], [0.0, 0.0, 0.0])
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(0.1, [0.0, 0.1], [1.0, -1.0])
-
-
 class TestSimulateSemigroup:
     def test_zero_generator_constant_energy(self):
         tr = simulate_semigroup(np.zeros((2, 2)), x0=[1.0, 2.0], T=1.0,
                                 dt=0.25)
         assert (tr.energy == tr.energy[0]).all()
-        assert tr.nsamples == 5
+        assert len(tr.times) == 5
         assert np.allclose(tr.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_undamped_wave_conserves_energy(self):
@@ -285,7 +274,7 @@ class TestSimulateSemigroup:
         dt = 1e-3
         tr = simulate_semigroup(a, gram, x0, T=(nsamples - 1) * dt, dt=dt,
                                 stepper="crank_nicolson")
-        assert tr.nsamples == nsamples
+        assert len(tr.times) == nsamples
         # oracle: one step and one weighted norm at a time, x_{k+1} = step x_k
         step = cn_step(a, dt)
         x = x0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semilab.pdelab import Grid1D, wave_ext
+from semilab.numkernel import dissipativity_margin
 from semilab.sysnode import (
     ExtendedOperator,
     SystemNode,
@@ -36,34 +36,9 @@ class TestExtendedOperator:
         ext = wave_toy()
         assert np.allclose(ext.matrix, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_skew_flag(self):
-        assert wave_toy().skew
-        assert not ExtendedOperator(np.array([[-1.0]]), np.zeros((1, 1)),
-                                    np.zeros((1, 1)), np.zeros((1, 1))).skew
-
-    def test_skew_flag_within_roundoff(self):
-        near = ExtendedOperator(np.zeros((1, 1)), np.array([[1.0 + 1e-14]]),
-                                np.array([[-1.0]]), np.zeros((1, 1)))
-        assert near.skew
-        off = ExtendedOperator(np.zeros((1, 1)), np.array([[1.0 + 1e-6]]),
-                               np.array([[-1.0]]), np.zeros((1, 1)))
-        assert not off.skew
-
-    def test_exactly_skew_needs_no_norm(self, svd_calls):
-        assert wave_ext(Grid1D(8)).skew
-        assert svd_calls == []
-
-    @pytest.mark.filterwarnings("error")
-    @OVERFLOWING
-    def test_skew_refuses_an_overflowing_hermitian_part(self, a, prefix):
-        zero = np.zeros_like(a)
-        with pytest.raises(ValueError, match="^%sextended operator has a "
-                           "non-finite Hermitian part$" % prefix):
-            ExtendedOperator(a, zero, zero, zero).skew
-
     def test_dissipative_flag(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
-        assert ext.dissipative and ext.margin <= 1e-10
+        assert dissipativity_margin(ext.matrix) <= 1e-10
 
     def test_apply_matches_blocks(self, rng):
         ext = random_dissipative_ext(rng, 3, 2)
