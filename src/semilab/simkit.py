@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _GKL_RTOL = 1e-5
-_GKL_CHECK_EVERY = 4
 _GKL_MAX_STEPS = 512
 # states per step-and-ledger block, and rows per block of the simulate CSV:
 # the one state buffer holds _LEDGER_BLOCK * dim * 8 bytes (16 if complex),
@@ -107,7 +106,9 @@ converges to it with O(1/nsteps) resolution bias, recorded as
 bias = norm_estimate/nsteps.  method is "lanczos_bidiag"; iterations is
 the number of bidiagonalization steps and residual the Ritz residual
 ||T^H u - norm_estimate v||, at most 1e-5 * norm_estimate unless the
-step cap stopped the run.
+step cap stopped the run.  The residual is checked after 4, 8, ..., 36,
+44, 52, 60, 68, 80, ... steps, so iterations is one of these unless a
+breakdown or the step cap ended the run.
 """
 
 
@@ -212,7 +213,11 @@ def _toeplitz_blocks(node, T, nsteps):
     Block 0 is D + (1/dt) C Psi2; block k >= 1 is
     (1/dt) C Theta e^{A (k-1) dt} Phi.  Projecting inputs onto piecewise
     constants and outputs onto step averages makes the assembled norm a
-    lower bound of the true input/output-map norm.
+    lower bound of the true input/output-map norm.  The propagated inputs
+    e^{A j dt} Phi are filled by doubling: the next ones are
+    e^{A f dt} times the f already filled, and e^{A f dt} is squared only
+    while more are needed, so about log2(nsteps) batched products replace
+    nsteps small ones.  Raises OverflowError when a block is not finite.
     """
     nsteps = int(nsteps)
     if nsteps < 4:
@@ -223,12 +228,22 @@ def _toeplitz_blocks(node, T, nsteps):
     e_step, phi, theta, psi2 = _quadrature_matrices(node.a, node.b, dt)
     blocks = np.empty((nsteps, node.noutputs, node.ninputs),
                       dtype=np.result_type(node.a, node.b, node.c, node.d))
-    blocks[0] = node.d + (1.0 / dt) * (node.c @ psi2)
-    ctheta = (1.0 / dt) * (node.c @ theta)
-    prop = phi
-    for k in range(1, nsteps):
-        blocks[k] = ctheta @ prop
-        prop = e_step @ prop
+    props = np.empty((nsteps - 1,) + phi.shape, dtype=phi.dtype)
+    props[0] = phi
+    power, filled = e_step, 1
+    # a step exponential that lost its contraction at a huge dt overflows
+    # here; the non-finite blocks are refused by name below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while filled < nsteps - 1:
+            take = min(filled, nsteps - 1 - filled)
+            np.matmul(power, props[:take], out=props[filled:filled + take])
+            filled += take
+            if filled < nsteps - 1:
+                power = power @ power
+        blocks[0] = node.d + (1.0 / dt) * (node.c @ psi2)
+        np.matmul((1.0 / dt) * (node.c @ theta), props, out=blocks[1:])
+    if not np.isfinite(blocks).all():
+        raise OverflowError("Toeplitz blocks overflowed")
     return blocks
 
 
@@ -277,20 +292,34 @@ def _ritz(alphas, betas):
     return float(sing[0]), float(betas[-1] * abs(left[-1, 0]))
 
 
+def _next_check(k):
+    """Step count of the Ritz check after the one at k steps.
+
+    Every 4 steps up to 36, then about every k/8 (4, 8, ..., 36, 44, 52,
+    60, 68, 80, ...), so the O(k^3) SVDs of _ritz sum to a constant
+    times the last one.  The checks are multiples of 4 and a Ritz value
+    never falls as k grows (B_k leads B_{k+1}), so the run stops no
+    earlier, and no lower, than checking every 4 steps would.
+    """
+    return max(k + 4, 4 * -(-9 * k // 32))
+
+
 def _toeplitz_norm(blocks):
     """Largest singular value of the block lower-triangular Toeplitz operator.
 
     Golub-Kahan-Lanczos bidiagonalization T V_k = U_k B_k from a fixed
     random start, matrix-free through FFT block convolutions (of T^H
     instead when p < m, so that V lies on the smaller side).  Only V is
-    stored and fully reorthogonalized (Gram-Schmidt twice); each U vector
-    lives for one step.  Real blocks run in float64.  Returns
-    (theta, iterations, residual): theta, the largest Ritz value,
-    lower-bounds the operator norm.  The Ritz residual is checked every
-    _GKL_CHECK_EVERY steps and the run stops once it is at most
-    _GKL_RTOL * theta, on breakdown (then theta is exact) or after
-    min(_GKL_MAX_STEPS, nsteps p, nsteps m) steps, where the residual
-    shows how far the run was from converging.
+    stored and fully reorthogonalized by classical Gram-Schmidt, with a
+    second pass only when the first left under 1/sqrt(2) of the norm it
+    started from (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976);
+    each U vector lives for one step.  Real blocks run in float64.
+    Returns (theta, iterations, residual): theta, the largest Ritz value,
+    lower-bounds the operator norm.  The Ritz residual is checked at the
+    step counts of _next_check, from 4 on, and the run stops at the first
+    check where it is at most _GKL_RTOL * theta, on breakdown (then theta
+    is exact) or after min(_GKL_MAX_STEPS, nsteps p, nsteps m) steps,
+    where the residual shows how far the run was from converging.
     """
     nsteps, p, m = blocks.shape
     fwd = _fft_kernel(blocks)
@@ -310,6 +339,7 @@ def _toeplitz_norm(blocks):
     basis[0] = start / np.linalg.norm(start)
     alphas, betas = [], []
     u, beta = 0.0, 0.0
+    check = 4
     for k in range(cap):
         w = _block_convolve(fwd, basis[k].reshape(nsteps, m)).ravel()
         w -= beta * u
@@ -323,17 +353,21 @@ def _toeplitz_norm(blocks):
         u = w / alpha
         r = (_block_convolve(adj, u.reshape(nsteps, p)).ravel()
              - alpha * basis[k])
-        for _ in range(2):
-            r -= (basis[:k + 1] @ r.conj()).conj() @ basis[:k + 1]
+        before = np.linalg.norm(r)
+        r -= (basis[:k + 1] @ r.conj()).conj() @ basis[:k + 1]
         beta = float(np.linalg.norm(r))
+        if beta < before / np.sqrt(2.0):
+            r -= (basis[:k + 1] @ r.conj()).conj() @ basis[:k + 1]
+            beta = float(np.linalg.norm(r))
         alphas.append(alpha)
         betas.append(beta)
         if beta <= 1e-14 * alpha or k + 1 == cap:
             break
-        if (k + 1) % _GKL_CHECK_EVERY == 0:
+        if k + 1 == check:
             theta, residual = _ritz(alphas, betas)
             if residual <= _GKL_RTOL * theta:
                 return theta, k + 1, residual
+            check = _next_check(check)
         basis[k + 1] = r / beta
     theta, residual = _ritz(alphas, betas)
     return theta, len(alphas), residual

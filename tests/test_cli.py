@@ -636,6 +636,22 @@ class TestMain:
                                        "overflowed\n")
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_toeplitz_blocks_are_refused_by_t(self, tmp_path,
+                                                         capsys):
+        # the step exponential stays finite but has lost its contraction
+        # to rounding (2-norm 1.9e108 at dt = 1e20/16), so the propagated
+        # blocks overflow
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
+                      "n = 4\nnsteps = 16\nT = 1e20\n")
+        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: T = 1e+20 is too long a "
+                                           "horizon: Toeplitz blocks "
+                                           "overflowed\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, command):
         if command == "verify":

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from semilab.cayley import AccretiveOperator
 from semilab.feedback import internal_loop
 from semilab.numkernel import (
     Gram,
