@@ -213,11 +213,8 @@ def _toeplitz_blocks(node, T, nsteps):
     Block 0 is D + (1/dt) C Psi2; block k >= 1 is
     (1/dt) C Theta e^{A (k-1) dt} Phi.  Projecting inputs onto piecewise
     constants and outputs onto step averages makes the assembled norm a
-    lower bound of the true input/output-map norm.  The propagated inputs
-    e^{A j dt} Phi are filled by doubling: the next ones are
-    e^{A f dt} times the f already filled, and e^{A f dt} is squared only
-    while more are needed, so about log2(nsteps) batched products replace
-    nsteps small ones.  Raises OverflowError when a block is not finite.
+    lower bound of the true input/output-map norm.  Raises OverflowError
+    when a block is not finite.
     """
     nsteps = int(nsteps)
     if nsteps < 4:
@@ -228,20 +225,15 @@ def _toeplitz_blocks(node, T, nsteps):
     e_step, phi, theta, psi2 = _quadrature_matrices(node.a, node.b, dt)
     blocks = np.empty((nsteps, node.noutputs, node.ninputs),
                       dtype=np.result_type(node.a, node.b, node.c, node.d))
-    props = np.empty((nsteps - 1,) + phi.shape, dtype=phi.dtype)
-    props[0] = phi
-    power, filled = e_step, 1
+    prop = phi
     # a step exponential that lost its contraction at a huge dt overflows
     # here; the non-finite blocks are refused by name below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        while filled < nsteps - 1:
-            take = min(filled, nsteps - 1 - filled)
-            np.matmul(power, props[:take], out=props[filled:filled + take])
-            filled += take
-            if filled < nsteps - 1:
-                power = power @ power
         blocks[0] = node.d + (1.0 / dt) * (node.c @ psi2)
-        np.matmul((1.0 / dt) * (node.c @ theta), props, out=blocks[1:])
+        ctheta = (1.0 / dt) * (node.c @ theta)
+        for k in range(1, nsteps):
+            blocks[k] = ctheta @ prop
+            prop = e_step @ prop
     if not np.isfinite(blocks).all():
         raise OverflowError("Toeplitz blocks overflowed")
     return blocks

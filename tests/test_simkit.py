@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semilab import simkit
 from semilab.feedback import internal_loop
-from semilab.numkernel import Gram, op_norm, svd_solve
+from semilab.numkernel import Gram, expm, op_norm, svd_solve
 from semilab.pdelab import Grid1D, PdeCoefficients, wave_ext, wave_viscous_ext
 from semilab.simkit import (
     cn_step,
@@ -35,16 +35,14 @@ def dense_toeplitz_norm(blocks):
     return op_norm(full)
 
 
-def per_step_blocks(node, T, nsteps):
-    """Oracle: the Toeplitz blocks by one propagation step at a time."""
+def direct_blocks(node, T, nsteps):
+    """Oracle: Toeplitz block k >= 1 from its own exponential e^{A (k-1) dt}."""
     dt = T / nsteps
-    e_step, phi, theta, psi2 = simkit._quadrature_matrices(node.a, node.b, dt)
+    _, phi, theta, psi2 = simkit._quadrature_matrices(node.a, node.b, dt)
     blocks = [node.d + (1.0 / dt) * (node.c @ psi2)]
     ctheta = (1.0 / dt) * (node.c @ theta)
-    prop = phi
-    for _ in range(1, nsteps):
-        blocks.append(ctheta @ prop)
-        prop = e_step @ prop
+    for k in range(1, nsteps):
+        blocks.append(ctheta @ expm(node.a, (k - 1) * dt) @ phi)
     return np.array(blocks)
 
 
@@ -349,12 +347,12 @@ class TestSimulateSemigroup:
 class TestToeplitzBlocks:
     @pytest.mark.parametrize("nsteps", [4, 5, 64, 65, 1024])
     @pytest.mark.parametrize("cplx", [False, True])
-    def test_doubling_agrees_with_per_step_oracle(self, rng, nsteps, cplx):
-        # Tolerance: 1e-12 (k + 1) times the largest block.  Block k takes
-        # about log2(k) squarings instead of k - 1 single steps, and each
-        # rounding is carried by every later step, so the two paths differ
-        # by up to about k eps of the largest block; the worst seen over
-        # 200 random nodes was 0.2 (k + 1) eps.
+    def test_propagation_agrees_with_direct_exponentials(self, rng, nsteps,
+                                                         cplx):
+        # Tolerance: 1e-12 (k + 1) times the largest block.  Block k carries
+        # the roundings of k - 1 single steps, each passed on by every later
+        # step, so it may differ from its own exponential by about k eps of
+        # the largest block.
         a = random_dissipative(rng, 3)
         b, c = rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
         if not cplx:
@@ -362,7 +360,7 @@ class TestToeplitzBlocks:
             a = a.real
         node = SystemNode(a, b, c, rng.standard_normal((4, 2)))
         blocks = simkit._toeplitz_blocks(node, 2.0, nsteps)
-        oracle = per_step_blocks(node, 2.0, nsteps)
+        oracle = direct_blocks(node, 2.0, nsteps)
         assert blocks.dtype == oracle.dtype
         assert np.iscomplexobj(blocks) == cplx
         scale = np.abs(oracle).max()
@@ -371,10 +369,10 @@ class TestToeplitzBlocks:
 
     @pytest.mark.parametrize("nsteps", [4, 5, 64, 65, 1024])
     def test_integrator_blocks_are_bit_identical(self, nsteps):
-        # E = 1: every power of it is exactly 1
+        # E = 1: every power of it, and every e^{0 t}, is exactly 1
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
         blocks = simkit._toeplitz_blocks(node, 1.5, nsteps)
-        assert (blocks == per_step_blocks(node, 1.5, nsteps)).all()
+        assert (blocks == direct_blocks(node, 1.5, nsteps)).all()
 
 
 class TestIoMapNorm:
