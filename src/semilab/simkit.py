@@ -14,6 +14,7 @@ That norm comes from a matrix-free Golub-Kahan-Lanczos bidiagonalization
 whose Ritz value is itself a lower bound and carries its own residual.
 """
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
 
 _GKL_RTOL = 1e-5
 _GKL_MAX_STEPS = 512
+# refused Toeplitz norm bound: GKL's vectors have norms up to 2 ||T||, and
+# np.linalg.norm squares them, which overflows past 1.3e154
+_BLOCK_NORM_LIMIT = 1e150
 # states per step-and-ledger block, and rows per block of the simulate CSV:
 # the one state buffer holds _LEDGER_BLOCK * dim * 8 bytes (16 if complex),
 # 1.0 MB at dim 127, and each ledger temporary as much, whatever the
@@ -184,57 +188,58 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     return Trajectory(times, energy)
 
 
-def _quadrature_matrices(a, b, dt):
-    """(E, Phi, Theta, Psi2) step integrals from one augmented exponential.
-
-    E = e^{A dt}, Phi = int e^{As} ds B, Theta = int e^{As} ds,
-    Psi2 = int (dt - s) e^{As} ds B; all exact up to expm accuracy.  The
-    augmented form needs no inverse, so singular A (the wave Cayley node)
-    is no special case.
+def _quadrature_matrices(a, dt):
+    """(E, Theta, Psi) = (e^{A dt}, int_0^dt e^{As} ds, int_0^dt (dt - s)
+    e^{As} ds), the first block row of the exponential of
+    [[A, I, 0], [0, 0, I], [0, 0, 0]] dt (C. F. Van Loan, IEEE TAC 23:3,
+    1978).  Exact up to expm accuracy; needing no inverse, singular A (the
+    integrator's A = 0) is no special case.
     """
-    n, m = a.shape[0], b.shape[1]
-    w = m + n
-    aug = np.zeros((n + 2 * w, n + 2 * w), dtype=np.result_type(a, b))
+    n = a.shape[0]
+    aug = np.zeros((3 * n, 3 * n), dtype=a.dtype)
     aug[:n, :n] = a
-    aug[:n, n:n + m] = b
-    aug[:n, n + m:n + w] = np.eye(n)
-    aug[n:n + w, n + w:] = np.eye(w)
+    aug[:2 * n, n:] = np.eye(2 * n)
     f = expm(aug, dt)
-    e_step = f[:n, :n]
-    phi = f[:n, n:n + m]
-    theta = f[:n, n + m:n + w]
-    psi2 = f[:n, n + w:n + w + m]
-    return e_step, phi, theta, psi2
+    return f[:n, :n], f[:n, n:2 * n], f[:n, 2 * n:]
 
 
 def _toeplitz_blocks(node, T, nsteps):
     """ZOH input-average-output Toeplitz blocks of the finite-horizon map.
 
-    Block 0 is D + (1/dt) C Psi2; block k >= 1 is
+    With Phi = Theta B, block 0 is D + (1/dt) C Psi B and block k >= 1 is
     (1/dt) C Theta e^{A (k-1) dt} Phi.  Projecting inputs onto piecewise
     constants and outputs onto step averages makes the assembled norm a
-    lower bound of the true input/output-map norm.  Raises OverflowError
-    when a block is not finite.
+    lower bound of the true input/output-map norm.  nsteps must be an
+    integer (not a bool) of at least 4.  A step T/nsteps whose reciprocal
+    overflows raises ValueError naming T.  OverflowError is raised
+    when the bound sqrt(nsteps) ||blocks||_F on the Toeplitz norm is not
+    below _BLOCK_NORM_LIMIT, which also catches a non-finite block.
     """
+    if isinstance(nsteps, bool) or not isinstance(nsteps, numbers.Integral):
+        raise ValueError("nsteps must be an integer, got %r" % (nsteps,))
     nsteps = int(nsteps)
     if nsteps < 4:
         raise ValueError("nsteps must be at least 4, got %d" % nsteps)
     dt = float(T) / nsteps
     if not 0.0 < dt < np.inf:
         raise ValueError("T must be positive and finite, got %r" % float(T))
-    e_step, phi, theta, psi2 = _quadrature_matrices(node.a, node.b, dt)
+    if 1.0 / dt == np.inf:
+        raise ValueError("T = %r is too short a horizon for nsteps = %d: "
+                         "1/dt overflows" % (float(T), nsteps))
+    e_step, theta, psi = _quadrature_matrices(node.a, dt)
     blocks = np.empty((nsteps, node.noutputs, node.ninputs),
                       dtype=np.result_type(node.a, node.b, node.c, node.d))
-    prop = phi
     # a step exponential that lost its contraction at a huge dt overflows
-    # here; the non-finite blocks are refused by name below, not warned about
+    # here; the blocks are refused by name below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks[0] = node.d + (1.0 / dt) * (node.c @ psi2)
+        prop = theta @ node.b
+        blocks[0] = node.d + (1.0 / dt) * (node.c @ (psi @ node.b))
         ctheta = (1.0 / dt) * (node.c @ theta)
         for k in range(1, nsteps):
             blocks[k] = ctheta @ prop
             prop = e_step @ prop
-    if not np.isfinite(blocks).all():
+        bound = np.sqrt(nsteps) * np.linalg.norm(blocks)
+    if not bound < _BLOCK_NORM_LIMIT:
         raise OverflowError("Toeplitz blocks overflowed")
     return blocks
 
@@ -387,15 +392,12 @@ def io_map_norm(node, T, nsteps):
 def feedthrough_deviation(node, t_list, nsteps):
     """Distance from the input/output map to instantaneous feedthrough.
 
-    For each horizon in t_list, the norm of the Toeplitz discretization
-    with the block-diagonal feedthrough D removed.  For delay-free nodes
-    with bounded blocks this grows linearly in the horizon.
+    For each horizon in t_list, the io_map_norm estimate of the node with
+    D = 0, whose map is the node's own less D.  For delay-free nodes with
+    bounded blocks this grows linearly in the horizon.
     """
     if not isinstance(node, SystemNode):
         raise TypeError("feedthrough_deviation expects a SystemNode")
-    deviations = []
-    for horizon in t_list:
-        blocks = _toeplitz_blocks(node, horizon, nsteps)
-        blocks[0] = blocks[0] - node.d
-        deviations.append(_toeplitz_norm(blocks)[0])
-    return deviations
+    node = SystemNode(node.a, node.b, node.c, np.zeros_like(node.d))
+    return [io_map_norm(node, horizon, nsteps).norm_estimate
+            for horizon in t_list]

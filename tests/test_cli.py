@@ -640,16 +640,49 @@ class TestMain:
     def test_non_finite_toeplitz_blocks_are_refused_by_t(self, tmp_path,
                                                          capsys):
         # the step exponential stays finite but has lost its contraction
-        # to rounding (2-norm 1.9e108 at dt = 1e20/16), so the propagated
+        # to rounding (2-norm 3.5e95 at dt = 2.5e19/16), so the propagated
         # blocks overflow
         cfg = self.write_config(
             tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
-                      "n = 4\nnsteps = 16\nT = 1e20\n")
+                      "n = 2\nnsteps = 16\nT = 1e20\n")
         rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == ("error: T = 1e+20 is too long a "
                                            "horizon: Toeplitz blocks "
                                            "overflowed\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_toeplitz_blocks_are_refused_by_t(self, tmp_path, capsys):
+        # blocks of up to 2.4e138 at T/2 still leave the Lanczos vector
+        # norms finite; the bound on ||T|| refuses the sweep at T, where
+        # the norms would overflow
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
+                      "n = 8\nnsteps = 16\nT = 1e18\n")
+        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: T = 1e+18 is too long a "
+                                           "horizon: Toeplitz blocks "
+                                           "overflowed\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fixture, nsteps", [("integrator", 65536),
+                                                 ("wave_cayley", 16)])
+    def test_tiny_horizon_is_refused_as_too_short(self, tmp_path, capsys,
+                                                  fixture, nsteps):
+        # the sweep's first horizon T/4 = 2.5e-311 over nsteps steps is a
+        # step whose reciprocal overflows
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
+                      "nsteps = %d\nT = 1e-310\ndt = 1e-310\n"
+                      % (fixture, nsteps))
+        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: T = 2.5e-311 is too short a horizon for nsteps = %d: "
+            "1/dt overflows\n" % nsteps)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,12 +40,30 @@ def dense_toeplitz_norm(blocks):
 def direct_blocks(node, T, nsteps):
     """Oracle: Toeplitz block k >= 1 from its own exponential e^{A (k-1) dt}."""
     dt = T / nsteps
-    _, phi, theta, psi2 = simkit._quadrature_matrices(node.a, node.b, dt)
-    blocks = [node.d + (1.0 / dt) * (node.c @ psi2)]
+    _, theta, psi = simkit._quadrature_matrices(node.a, dt)
+    blocks = [node.d + (1.0 / dt) * (node.c @ (psi @ node.b))]
     ctheta = (1.0 / dt) * (node.c @ theta)
+    phi = theta @ node.b
     for k in range(1, nsteps):
         blocks.append(ctheta @ expm(node.a, (k - 1) * dt) @ phi)
     return np.array(blocks)
+
+
+def augmented_quadrature(a, b, dt):
+    """Oracle: (E, Theta B, Theta, Psi B) from the (3n + 2m)-square exponential.
+
+    The exponential of [[A, B, I, 0, 0], [0, 0, 0, I_m, 0],
+    [0, 0, 0, 0, I_n], [0, ...], [0, ...]] dt, by scipy.
+    """
+    n, m = a.shape[0], b.shape[1]
+    w = m + n
+    aug = np.zeros((n + 2 * w, n + 2 * w), dtype=np.result_type(a, b))
+    aug[:n, :n] = a
+    aug[:n, n:n + m] = b
+    aug[:n, n + m:n + w] = np.eye(n)
+    aug[n:n + w, n + w:] = np.eye(w)
+    f = scipy.linalg.expm(aug * dt)
+    return f[:n, :n], f[:n, n:n + m], f[:n, n + m:n + w], f[:n, n + w:n + w + m]
 
 
 class TestCnStep:
@@ -344,6 +364,39 @@ class TestSimulateSemigroup:
             simulate_semigroup(np.zeros((2, 2)))
 
 
+class TestQuadratureMatrices:
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.3, 2.0, 30.0])
+    @pytest.mark.parametrize("kind", ["real", "complex", "singular",
+                                      "wave_cayley"])
+    def test_agrees_with_the_augmented_oracle(self, rng, kind, dt):
+        # Tolerance: 1e-12 of each block's bound for a dissipative A
+        # (||e^{As}|| <= 1): 1 for E, dt for Theta, dt ||B|| for Theta B
+        # and dt^2 ||B|| for Psi B, with ||B|| the largest entry; the worst
+        # seen over 200 random nodes at dt from 1e-4 to 30 was 1e-14
+        if kind == "wave_cayley":
+            node = external_cayley(wave_ext(Grid1D(6)))
+            a, b = node.a, node.b
+        else:
+            a = random_dissipative(rng, 5)
+            b = rng.standard_normal((5, 2))
+            if kind == "singular":
+                # a real skew matrix of odd dimension: lossless, with a kernel
+                a = a.real - a.real.T
+                assert np.linalg.matrix_rank(a) < 5
+            elif kind == "real":
+                a = a.real
+            else:
+                b = b + 1j * rng.standard_normal((5, 2))
+        e_step, theta, psi = simkit._quadrature_matrices(a, dt)
+        oracle = augmented_quadrature(a, b, dt)
+        scale = np.abs(b).max()
+        for value, want, bound in zip(
+                (e_step, theta @ b, theta, psi @ b), oracle,
+                (1.0, dt * scale, dt, dt * dt * scale)):
+            assert value.shape == want.shape
+            assert np.abs(value - want).max() <= 1e-12 * bound
+
+
 class TestToeplitzBlocks:
     @pytest.mark.parametrize("nsteps", [4, 5, 64, 65, 1024])
     @pytest.mark.parametrize("cplx", [False, True])
@@ -373,6 +426,65 @@ class TestToeplitzBlocks:
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
         blocks = simkit._toeplitz_blocks(node, 1.5, nsteps)
         assert (blocks == direct_blocks(node, 1.5, nsteps)).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_norm_bound_past_the_limit(self, monkeypatch):
+        # an integrator with B = 1e155: blocks of 9.8e151, whose bound
+        # sqrt(nsteps) ||blocks||_F = 1.0e155 is finite, while the Lanczos
+        # vector norms, squared, would overflow
+        huge = scalar_node(0.0, 1e155, 1.0, 0.0)
+        with pytest.raises(OverflowError,
+                           match="^Toeplitz blocks overflowed$"):
+            io_map_norm(huge, 1.0, 1024)
+        monkeypatch.setattr(simkit, "_BLOCK_NORM_LIMIT", np.inf)
+        blocks = simkit._toeplitz_blocks(huge, 1.0, 1024)
+        assert np.isfinite(blocks).all()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            simkit._toeplitz_norm(blocks)
+
+    @pytest.mark.filterwarnings("error")
+    def test_blocks_below_the_limit_scale_the_norm(self):
+        # B stays out of the quadrature exponential, so its size sets no
+        # squarings there, and a bound near 1e140 is below the limit
+        one = io_map_norm(scalar_node(-1.0, 1.0, 1.0, 0.0), 1.0, 16)
+        big = io_map_norm(scalar_node(-1.0, 1e140, 1.0, 0.0), 1.0, 16)
+        assert big.norm_estimate == pytest.approx(1e140 * one.norm_estimate,
+                                                  rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda node, t: io_map_norm(node, t, 65536),
+        lambda node, t: feedthrough_deviation(node, (t,), 65536),
+    ], ids=["io_map_norm", "feedthrough_deviation"])
+    def test_refuses_a_step_whose_reciprocal_overflows(self, call):
+        node = scalar_node(0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=(
+                "^T = 1e-310 is too short a horizon for nsteps = 65536: "
+                "1/dt overflows$")):
+            call(node, 1e-310)
+
+    @pytest.mark.parametrize("nsteps", [4.7, 16.0, np.float64(16.0), True,
+                                        "16"],
+                             ids=["fraction", "float", "float64", "bool",
+                                  "str"])
+    @pytest.mark.parametrize("call", [
+        lambda node, n: io_map_norm(node, 1.0, n),
+        lambda node, n: feedthrough_deviation(node, (1.0,), n),
+    ], ids=["io_map_norm", "feedthrough_deviation"])
+    def test_refuses_a_non_integral_nsteps_by_name(self, call, nsteps):
+        node = scalar_node(-1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=(
+                "^nsteps must be an integer, got %s$"
+                % re.escape(repr(nsteps)))):
+            call(node, nsteps)
+
+    @pytest.mark.parametrize("nsteps", [np.int64(16), np.int32(16),
+                                        np.uint8(16)])
+    def test_takes_numpy_integers(self, nsteps):
+        node = scalar_node(-1.0, 1.0, 1.0, 0.0)
+        est = io_map_norm(node, 1.0, nsteps)
+        assert est == io_map_norm(node, 1.0, 16)
+        assert type(est.nsteps) is int
 
 
 class TestIoMapNorm:
@@ -510,6 +622,21 @@ class TestFeedthroughDeviation:
         node = scalar_node(-1.0, 0.0, 0.0, 0.5)
         devs = feedthrough_deviation(node, (0.25, 0.5, 1.0), 32)
         assert max(devs) <= 1e-14
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_does_not_read_d(self, rng, cplx):
+        # the map less D is the map of the node with D = 0, so a large D
+        # leaves no rounding behind
+        if cplx:
+            a = random_dissipative(rng, 3)
+            b, c = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+            d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        else:
+            a, b, c, d = [[0.0]], [[1.0]], [[1.0]], [[0.0]]
+        t_list = (0.1, 0.3, 1.0)
+        devs = feedthrough_deviation(SystemNode(a, b, c, d), t_list, 48)
+        shifted = SystemNode(a, b, c, np.asarray(d) + 1e8 * np.eye(len(d)))
+        assert feedthrough_deviation(shifted, t_list, 48) == devs
 
     def test_integrator_grows_linearly(self):
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
