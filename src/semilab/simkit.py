@@ -24,7 +24,9 @@ from .numkernel import (
     _require_regular_given,
     _square,
     as_complex_matrix,
+    dissipativity_margin,
     expm,
+    op_norm,
 )
 from .sysnode import SystemNode
 
@@ -39,9 +41,6 @@ __all__ = [
 
 _GKL_RTOL = 1e-5
 _GKL_MAX_STEPS = 512
-# refused Toeplitz norm bound: GKL's vectors have norms up to 2 ||T||, and
-# np.linalg.norm squares them, which overflows past 1.3e154
-_BLOCK_NORM_LIMIT = 1e150
 # states per step-and-ledger block, and rows per block of the simulate CSV:
 # the one state buffer holds _LEDGER_BLOCK * dim * 8 bytes (16 if complex),
 # 1.0 MB at dim 127, and each ledger temporary as much, whatever the
@@ -189,58 +188,65 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
 
 
 def _quadrature_matrices(a, dt):
-    """(E, Theta, Psi) = (e^{A dt}, int_0^dt e^{As} ds, int_0^dt (dt - s)
-    e^{As} ds), the first block row of the exponential of
-    [[A, I, 0], [0, 0, I], [0, 0, 0]] dt (C. F. Van Loan, IEEE TAC 23:3,
-    1978).  Exact up to expm accuracy; needing no inverse, singular A (the
-    integrator's A = 0) is no special case.
+    """(E, Theta/dt, Psi/dt^2), with E = e^{A dt}, Theta = int_0^dt e^{As}
+    ds and Psi = int_0^dt (dt - s) e^{As} ds: the first block row of the
+    exponential of the dimensionless [[A dt, I, 0], [0, 0, I], [0, 0, 0]]
+    (C. F. Van Loan, IEEE TAC 23:3, 1978).  Exact up to expm accuracy;
+    needing no inverse, singular A (the integrator's A = 0) is no special
+    case.
     """
     n = a.shape[0]
     aug = np.zeros((3 * n, 3 * n), dtype=a.dtype)
-    aug[:n, :n] = a
+    # an overflowing A dt is refused by expm, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, dt, out=aug[:n, :n])
     aug[:2 * n, n:] = np.eye(2 * n)
-    f = expm(aug, dt)
+    f = expm(aug)
     return f[:n, :n], f[:n, n:2 * n], f[:n, 2 * n:]
 
 
 def _toeplitz_blocks(node, T, nsteps):
     """ZOH input-average-output Toeplitz blocks of the finite-horizon map.
 
-    With Phi = Theta B, block 0 is D + (1/dt) C Psi B and block k >= 1 is
-    (1/dt) C Theta e^{A (k-1) dt} Phi.  Projecting inputs onto piecewise
-    constants and outputs onto step averages makes the assembled norm a
-    lower bound of the true input/output-map norm.  nsteps must be an
-    integer (not a bool) of at least 4.  A step T/nsteps whose reciprocal
-    overflows raises ValueError naming T.  OverflowError is raised
-    when the bound sqrt(nsteps) ||blocks||_F on the Toeplitz norm is not
-    below _BLOCK_NORM_LIMIT, which also catches a non-finite block.
+    Block 0 is D + dt C (Psi/dt^2) B and block k >= 1 is
+    dt C (Theta/dt) E^{k-1} (Theta/dt) B (_quadrature_matrices).
+    Projecting inputs onto piecewise constants and outputs onto step
+    averages makes the assembled norm a lower bound of the true
+    input/output-map norm.  nsteps must be an integer (not a bool) of at
+    least 4.  A step T/nsteps below the smallest normal double loses bits
+    in A dt and raises ValueError naming T.  As ||e^{A dt}||_2 <=
+    e^{mu dt}, mu the dissipativity margin of A, a computed E above
+    e^{max(mu, 0) dt} (1 + 1e-8) has lost that bound to rounding and
+    raises OverflowError; the guard errs towards refusal.
     """
     if isinstance(nsteps, bool) or not isinstance(nsteps, numbers.Integral):
         raise ValueError("nsteps must be an integer, got %r" % (nsteps,))
     nsteps = int(nsteps)
     if nsteps < 4:
         raise ValueError("nsteps must be at least 4, got %d" % nsteps)
-    dt = float(T) / nsteps
-    if not 0.0 < dt < np.inf:
-        raise ValueError("T must be positive and finite, got %r" % float(T))
-    if 1.0 / dt == np.inf:
+    T = float(T)
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be positive and finite, got %r" % T)
+    dt = T / nsteps
+    if dt < np.finfo(float).tiny:
         raise ValueError("T = %r is too short a horizon for nsteps = %d: "
-                         "1/dt overflows" % (float(T), nsteps))
+                         "the step is below the smallest normal double"
+                         % (T, nsteps))
     e_step, theta, psi = _quadrature_matrices(node.a, dt)
+    with np.errstate(over="ignore"):
+        growth = np.exp(max(dissipativity_margin(node.a), 0.0) * dt)
+    if op_norm(e_step) > growth * (1.0 + 1e-8):
+        raise OverflowError("step exponential exceeds its bound e^(mu dt)")
     blocks = np.empty((nsteps, node.noutputs, node.ninputs),
                       dtype=np.result_type(node.a, node.b, node.c, node.d))
-    # a step exponential that lost its contraction at a huge dt overflows
-    # here; the blocks are refused by name below, not warned about
+    # huge blocks overflow here unwarned; io_map_norm refuses them by name
     with np.errstate(over="ignore", invalid="ignore"):
         prop = theta @ node.b
-        blocks[0] = node.d + (1.0 / dt) * (node.c @ (psi @ node.b))
-        ctheta = (1.0 / dt) * (node.c @ theta)
+        blocks[0] = node.d + dt * (node.c @ (psi @ node.b))
+        ctheta = dt * (node.c @ theta)
         for k in range(1, nsteps):
             blocks[k] = ctheta @ prop
             prop = e_step @ prop
-        bound = np.sqrt(nsteps) * np.linalg.norm(blocks)
-    if not bound < _BLOCK_NORM_LIMIT:
-        raise OverflowError("Toeplitz blocks overflowed")
     return blocks
 
 
@@ -378,11 +384,27 @@ def io_map_norm(node, T, nsteps):
     O(1/nsteps) resolution bias (recorded in the estimate).  The norm is
     the top Ritz value of a deterministic matrix-free Lanczos
     bidiagonalization, reported with its step count and Ritz residual.
+    The bidiagonalization runs on the blocks scaled in place by 2^-e, e
+    the binary exponent of their largest part, and its results are scaled
+    back by 2^e: exactly, so no map is too small or too large.  Non-finite
+    blocks, and a norm that overflows when scaled back, raise OverflowError.
     """
     if not isinstance(node, SystemNode):
         raise TypeError("io_map_norm expects a SystemNode")
     blocks = _toeplitz_blocks(node, T, nsteps)
-    norm, iterations, residual = _toeplitz_norm(blocks)
+    # real and imaginary parts alike, with no temporary; a NaN propagates
+    parts = blocks.view(np.float64)
+    largest = max(parts.max(), -parts.min())
+    if not np.isfinite(largest):
+        raise OverflowError("Toeplitz blocks overflowed")
+    exponent = int(np.frexp(largest)[1])
+    np.ldexp(parts, -exponent, out=parts)
+    theta, iterations, residual = _toeplitz_norm(blocks)
+    with np.errstate(over="ignore"):
+        scaled_back = np.ldexp((theta, residual), exponent)
+    if not np.isfinite(scaled_back).all():
+        raise OverflowError("input/output-map norm overflowed")
+    norm, residual = scaled_back.tolist()
     return IoMapEstimate(horizon=float(T), nsteps=int(nsteps),
                          norm_estimate=norm, method="lanczos_bidiag",
                          bias=norm / int(nsteps), iterations=iterations,

@@ -619,53 +619,65 @@ class TestMain:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fixture", ["integrator", "viscous_cayley",
                                          "feedthrough", "wave_cayley"])
-    def test_overflowing_horizon_is_refused_by_t(self, tmp_path, capsys,
-                                                 fixture):
-        # the quadrature's step exponential at dt = T/64, the first
-        # horizon's, overflows unless the node is the lossless wave's
+    def test_huge_horizon_is_answered(self, tmp_path, capsys, fixture):
+        # the step integrals carry no power of dt and the blocks are
+        # scaled by a power of two, so no fixture's map is too large here
         cfg = self.write_config(
             tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
                       "nsteps = 16\nT = 1e300\n" % fixture)
         rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        if fixture == "wave_cayley":
-            assert rc == 0 and err.startswith("wall time: ")
-        else:
-            assert rc == 2 and err == ("error: T = 1e+300 is too long a "
-                                       "horizon: matrix exponential "
-                                       "overflowed\n")
-            assert not (tmp_path / "o").exists()
+        assert rc == 0 and capsys.readouterr().err.startswith("wall time: ")
+        for row in (tmp_path / "o" / "ionorm.csv").read_text().split()[1:]:
+            horizon, norm, nsteps = (float(v) for v in row.split(","))
+            exact = {"integrator": 2.0 * horizon / np.pi,
+                     "feedthrough": 0.5}.get(fixture)
+            if exact is None:
+                # both Cayley nodes are passive: a map norm of at most 1
+                assert norm <= 1.0 + norm / nsteps
+            else:
+                assert norm <= exact * (1.0 + 1e-12)
+                assert exact - norm <= norm / nsteps
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_toeplitz_blocks_are_refused_by_t(self, tmp_path,
                                                          capsys):
-        # the step exponential stays finite but has lost its contraction
-        # to rounding (2-norm 3.5e95 at dt = 2.5e19/16), so the propagated
-        # blocks overflow
+        # the step exponential at dt = 2.5e19/16 has lost its contraction
+        # to rounding (2-norm 3.5e95), which would overflow the propagated
+        # blocks; it is refused before they are formed
         cfg = self.write_config(
             tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
                       "n = 2\nnsteps = 16\nT = 1e20\n")
         rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == ("error: T = 1e+20 is too long a "
-                                           "horizon: Toeplitz blocks "
-                                           "overflowed\n")
+                                           "horizon: step exponential "
+                                           "exceeds its bound e^(mu dt)\n")
+        assert not (tmp_path / "o").exists()
+
+    def refused_viscous_sweep(self, tmp_path, capsys, horizon):
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
+                      "n = 8\nnsteps = 16\nT = %s\n" % horizon)
+        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: T = %r is too long a horizon: step exponential exceeds "
+            "its bound e^(mu dt)\n" % float(horizon))
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error")
+    def test_step_that_lost_its_contraction_is_refused_by_t(self, tmp_path,
+                                                            capsys):
+        # the passive node's map norm is at most 1, but its step
+        # exponential at dt = T/64 has a 2-norm of 16.6: unguarded, the
+        # sweep passes with norms from about 1e3 to 1e138
+        self.refused_viscous_sweep(tmp_path, capsys, "2.5e17")
+
+    @pytest.mark.filterwarnings("error")
     def test_huge_toeplitz_blocks_are_refused_by_t(self, tmp_path, capsys):
-        # blocks of up to 2.4e138 at T/2 still leave the Lanczos vector
-        # norms finite; the bound on ||T|| refuses the sweep at T, where
-        # the norms would overflow
-        cfg = self.write_config(
-            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
-                      "n = 8\nnsteps = 16\nT = 1e18\n")
-        rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert capsys.readouterr().err == ("error: T = 1e+18 is too long a "
-                                           "horizon: Toeplitz blocks "
-                                           "overflowed\n")
-        assert not (tmp_path / "o").exists()
+        # the step exponential at dt = T/64 has a 2-norm of 7.5e4; it is
+        # refused before the blocks it propagates overflow
+        self.refused_viscous_sweep(tmp_path, capsys, "1e18")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fixture, nsteps", [("integrator", 65536),
@@ -673,7 +685,7 @@ class TestMain:
     def test_tiny_horizon_is_refused_as_too_short(self, tmp_path, capsys,
                                                   fixture, nsteps):
         # the sweep's first horizon T/4 = 2.5e-311 over nsteps steps is a
-        # step whose reciprocal overflows
+        # step below the smallest normal double
         cfg = self.write_config(
             tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
                       "nsteps = %d\nT = 1e-310\ndt = 1e-310\n"
@@ -682,7 +694,7 @@ class TestMain:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: T = 2.5e-311 is too short a horizon for nsteps = %d: "
-            "1/dt overflows\n" % nsteps)
+            "the step is below the smallest normal double\n" % nsteps)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])

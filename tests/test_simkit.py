@@ -27,6 +27,13 @@ def scalar_node(a, b, c, d):
     return SystemNode([[a]], [[b]], [[c]], [[d]])
 
 
+def viscous_cayley(n):
+    """The Cayley node of the viscously damped wave with unit coefficients."""
+    grid = Grid1D(n)
+    ext, _, _ = wave_viscous_ext(grid, PdeCoefficients(grid, k_v=1.0))
+    return external_cayley(ext)
+
+
 def dense_toeplitz_norm(blocks):
     """Oracle: operator norm of the assembled block Toeplitz matrix (SVD)."""
     nsteps, p, m = blocks.shape
@@ -40,12 +47,12 @@ def dense_toeplitz_norm(blocks):
 def direct_blocks(node, T, nsteps):
     """Oracle: Toeplitz block k >= 1 from its own exponential e^{A (k-1) dt}."""
     dt = T / nsteps
-    _, theta, psi = simkit._quadrature_matrices(node.a, dt)
-    blocks = [node.d + (1.0 / dt) * (node.c @ (psi @ node.b))]
-    ctheta = (1.0 / dt) * (node.c @ theta)
-    phi = theta @ node.b
+    _, theta_dt, psi_dt2 = simkit._quadrature_matrices(node.a, dt)
+    blocks = [node.d + dt * (node.c @ (psi_dt2 @ node.b))]
+    ctheta = dt * (node.c @ theta_dt)
+    phi_dt = theta_dt @ node.b
     for k in range(1, nsteps):
-        blocks.append(ctheta @ expm(node.a, (k - 1) * dt) @ phi)
+        blocks.append(ctheta @ expm(node.a, (k - 1) * dt) @ phi_dt)
     return np.array(blocks)
 
 
@@ -387,7 +394,8 @@ class TestQuadratureMatrices:
                 a = a.real
             else:
                 b = b + 1j * rng.standard_normal((5, 2))
-        e_step, theta, psi = simkit._quadrature_matrices(a, dt)
+        e_step, theta_dt, psi_dt2 = simkit._quadrature_matrices(a, dt)
+        theta, psi = dt * theta_dt, dt * dt * psi_dt2
         oracle = augmented_quadrature(a, b, dt)
         scale = np.abs(b).max()
         for value, want, bound in zip(
@@ -428,28 +436,58 @@ class TestToeplitzBlocks:
         assert (blocks == direct_blocks(node, 1.5, nsteps)).all()
 
     @pytest.mark.filterwarnings("error")
-    def test_refuses_a_norm_bound_past_the_limit(self, monkeypatch):
-        # an integrator with B = 1e155: blocks of 9.8e151, whose bound
-        # sqrt(nsteps) ||blocks||_F = 1.0e155 is finite, while the Lanczos
-        # vector norms, squared, would overflow
-        huge = scalar_node(0.0, 1e155, 1.0, 0.0)
-        with pytest.raises(OverflowError,
-                           match="^Toeplitz blocks overflowed$"):
-            io_map_norm(huge, 1.0, 1024)
-        monkeypatch.setattr(simkit, "_BLOCK_NORM_LIMIT", np.inf)
-        blocks = simkit._toeplitz_blocks(huge, 1.0, 1024)
-        assert np.isfinite(blocks).all()
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            simkit._toeplitz_norm(blocks)
+    def test_answers_a_huge_map(self):
+        # an integrator with B = 1e155: blocks of 9.8e151, whose Lanczos
+        # vector norms, squared without the power-of-two scaling, overflow
+        est = io_map_norm(scalar_node(0.0, 1e155, 1.0, 0.0), 1.0, 1024)
+        exact = 2.0 / np.pi * 1e155
+        assert est.norm_estimate <= exact * (1.0 + 1e-12)
+        assert exact - est.norm_estimate <= est.bias
 
     @pytest.mark.filterwarnings("error")
-    def test_blocks_below_the_limit_scale_the_norm(self):
-        # B stays out of the quadrature exponential, so its size sets no
-        # squarings there, and a bound near 1e140 is below the limit
-        one = io_map_norm(scalar_node(-1.0, 1.0, 1.0, 0.0), 1.0, 16)
-        big = io_map_norm(scalar_node(-1.0, 1e140, 1.0, 0.0), 1.0, 16)
-        assert big.norm_estimate == pytest.approx(1e140 * one.norm_estimate,
-                                                  rel=1e-12)
+    def test_scaling_b_by_a_power_of_two_scales_the_norm_exactly(self, rng):
+        # a power of two scales every block, every Lanczos vector norm and
+        # the Ritz value without rounding; B enters no exponential
+        a = random_dissipative(rng, 3)
+        b, d = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
+        c = rng.standard_normal((2, 3))
+        one = io_map_norm(SystemNode(a, b, c, d), 1.0, 16)
+        for k in (-900, -60, 60, 900):
+            scaled = io_map_norm(
+                SystemNode(a, np.ldexp(b, k), c, np.ldexp(d, k)), 1.0, 16)
+            assert scaled.norm_estimate == np.ldexp(one.norm_estimate, k)
+            assert scaled.residual == np.ldexp(one.residual, k)
+            assert scaled.iterations == one.iterations
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_norm_that_overflows_by_name(self):
+        # blocks of 6.25e307 are finite, but the map norm, about
+        # (2/pi) 1e309, is not
+        node = scalar_node(0.0, 1e300, 1.0, 0.0)
+        assert np.isfinite(simkit._toeplitz_blocks(node, 1e9, 16)).all()
+        with pytest.raises(OverflowError,
+                           match="^input/output-map norm overflowed$"):
+            io_map_norm(node, 1e9, 16)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_step_that_lost_its_bound(self):
+        # the viscous wave's exponential at dt = 2.5e17/16 has a 2-norm of
+        # 7.5e4 against e^{0 dt} = 1: rounding in the squarings
+        node = viscous_cayley(8)
+        with pytest.raises(OverflowError, match=(
+                r"^step exponential exceeds its bound e\^\(mu dt\)$")):
+            io_map_norm(node, 2.5e17, 16)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_step_below_the_smallest_normal(self):
+        tiny = float(np.finfo(float).tiny)
+        node = scalar_node(0.0, 1.0, 1.0, 0.0)
+        est = io_map_norm(node, 16 * tiny, 16)
+        assert abs(est.norm_estimate - 2.0 * 16 * tiny / np.pi) <= est.bias
+        with pytest.raises(ValueError, match=(
+                "^T = %r is too short a horizon for nsteps = 16: the step "
+                "is below the smallest normal double$" % (8 * tiny))):
+            io_map_norm(node, 8 * tiny, 16)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call", [
@@ -460,7 +498,7 @@ class TestToeplitzBlocks:
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match=(
                 "^T = 1e-310 is too short a horizon for nsteps = 65536: "
-                "1/dt overflows$")):
+                "the step is below the smallest normal double$")):
             call(node, 1e-310)
 
     @pytest.mark.parametrize("nsteps", [4.7, 16.0, np.float64(16.0), True,
@@ -508,6 +546,15 @@ class TestIoMapNorm:
         assert simkit._toeplitz_norm(np.zeros((16, 2, 3))) == (0.0, 1, 0.0)
         est = io_map_norm(scalar_node(-1.0, 0.0, 0.0, 0.0), 1.0, 32)
         assert est.norm_estimate == 0.0 and est.residual == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("horizon", [10.0 ** e
+                                         for e in range(-300, 301, 20)])
+    def test_integrator_norm_at_any_scale(self, horizon):
+        est = io_map_norm(scalar_node(0.0, 1.0, 1.0, 0.0), horizon, 64)
+        exact = 2.0 * horizon / np.pi
+        assert est.norm_estimate <= exact * (1.0 + 1e-12)
+        assert exact - est.norm_estimate <= est.bias
 
     def test_integrator_norm(self):
         # the integration operator on L^2(0,T) has norm 2T/pi
