@@ -388,10 +388,16 @@ def io_map_norm(node, T, nsteps):
     the binary exponent of their largest part, and its results are scaled
     back by 2^e: exactly, so no map is too small or too large.  Non-finite
     blocks, and a norm that overflows when scaled back, raise OverflowError.
+    A node with no inputs or no outputs has the zero map, answered as 0
+    with no iterations once T and nsteps are validated.
     """
     if not isinstance(node, SystemNode):
         raise TypeError("io_map_norm expects a SystemNode")
     blocks = _toeplitz_blocks(node, T, nsteps)
+    if blocks.size == 0:
+        return IoMapEstimate(horizon=float(T), nsteps=int(nsteps),
+                             norm_estimate=0.0, method="lanczos_bidiag",
+                             bias=0.0, iterations=0, residual=0.0)
     # real and imaginary parts alike, with no temporary; a NaN propagates
     parts = blocks.view(np.float64)
     largest = max(parts.max(), -parts.min())

@@ -12,6 +12,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,11 +37,21 @@ from semilab.cli import (
 )
 from semilab.numkernel import Gram
 from semilab.pdelab import Grid1D
-from semilab.simkit import _LEDGER_BLOCK, Trajectory
+from semilab.simkit import _LEDGER_BLOCK, IoMapEstimate, Trajectory
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FLOAT_KEYS = [key for key, kind, _, _ in _KEYS if kind is float]
+
+
+def fresh_process_env():
+    """Environment for a fresh Python process that imports the same
+    semilab package as this suite."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semilab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def load_perfbench(name):
@@ -288,6 +299,37 @@ class TestRunSimulate:
         # the CSV comes as lazy text blocks; these tests read it whole
         report, blocks = run_simulate(parse_config(text))
         return report, "".join(blocks)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("experiment", ["viscous", "structural",
+                                            "combined", "wave_heat"])
+    def test_energy_matches_the_exact_sine_mode(self, experiment, n):
+        # with unit rho and young the sine start stays in span{(sin pi xi,
+        # 0), (0, cos pi xi)}, whose two halves have equal squared norms
+        # n/2; there the generator is M = [[-(k_v + k_s w^2), -w], [w, 0]]
+        # with w = (2/h) sin(pi h/2), so E_k / E_0 = |z_k|^2 for z_k =
+        # step(M)^k (1, 0)
+        report, csv_text = self.simulate("experiment = %s\nn = %d\n"
+                                         % (experiment, n))
+        config = report.config
+        k_v = 0.0 if experiment in ("structural", "wave_heat") else 1.0
+        k_s = 0.0 if experiment in ("viscous", "wave_heat") else 1.0
+        w = 2.0 * n * np.sin(np.pi / (2.0 * n))
+        m = np.array([[-(k_v + k_s * w * w), -w], [w, 0.0]])
+        if config.stepper == "expm":
+            step = scipy.linalg.expm(m * config.dt)
+        else:
+            half = 0.5 * config.dt * m
+            step = np.linalg.solve(np.eye(2) - half, np.eye(2) + half)
+        energy = np.array([float(line.split(",")[1])
+                           for line in csv_text.splitlines()[1:]])
+        z = np.array([1.0, 0.0])
+        exact = []
+        for _ in energy:
+            exact.append(z @ z)
+            z = step @ z
+        gap = np.abs(energy / energy[0] - exact).max()
+        assert gap <= 1e-11
 
     def test_viscous_decay(self):
         report, csv_text = self.simulate(
@@ -617,6 +659,40 @@ class TestMain:
         assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.filterwarnings("error")
+    def test_coarse_viscous_sweep_passes_within_its_bias(self, tmp_path,
+                                                          capsys):
+        # at nsteps 16 the norms fall to 0.9984, short of 1 by more than
+        # 1e-3 but by less than each one's bias norm/16: no evidence that
+        # the passive node's map norm is below 1
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
+                      "n = 2\nnsteps = 16\nT = 1\n")
+        assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^check feedthrough_floor: measured=-\S+ "
+                         r"threshold=0\.001 PASS$", out, re.M)
+
+    @pytest.mark.parametrize("fixture, check", [
+        ("wave_cayley", "wave_lower_bound"),
+        ("viscous_cayley", "feedthrough_floor")])
+    def test_norm_short_of_one_beyond_its_bias_fails(self, tmp_path, capsys,
+                                                     monkeypatch, fixture,
+                                                     check):
+        # 1 - 0.99 - 0.99/128 = 2.3e-3 is beyond the 1e-3 floor
+        def short(node, horizon, nsteps):
+            return IoMapEstimate(horizon, nsteps, 0.99, "lanczos_bidiag",
+                                 0.99 / nsteps, 4, 0.0)
+
+        monkeypatch.setattr(semilab.cli, "io_map_norm", short)
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
+                      "nsteps = 128\n" % fixture)
+        assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 1
+        shortfall = 1.0 - 0.99 - 0.99 / 128
+        assert ("check %s: measured=%r threshold=0.001 FAIL\n"
+                % (check, shortfall)) in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fixture", ["integrator", "viscous_cayley",
                                          "feedthrough", "wave_cayley"])
     def test_huge_horizon_is_answered(self, tmp_path, capsys, fixture):
@@ -870,20 +946,27 @@ class TestMain:
 
     def test_console_script(self, tmp_path):
         # the module entry point the console script wraps, run as a fresh
-        # process that imports the same semilab package as this suite
+        # process
         cfg = self.write_config(tmp_path, VERIFY_TEXT)
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            semilab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "semilab.cli", "verify", cfg,
              "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=fresh_process_env())
         assert proc.returncode == 0
         assert proc.stdout.endswith("overall: PASS\n")
         assert "wall time" in proc.stderr
+
+    def test_import_loads_numpy_only(self):
+        # scipy, hypothesis and pytest are test-only: importing the CLI in
+        # a fresh process loads none of them
+        code = ("import sys, semilab.cli\n"
+                "print(sorted({name.partition('.')[0] for name in "
+                "sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=fresh_process_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 def _texts(*values):

@@ -548,6 +548,23 @@ class TestIoMapNorm:
         assert est.norm_estimate == 0.0 and est.residual == 0.0
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inputs, outputs", [(0, 2), (2, 0)],
+                             ids=["no-inputs", "no-outputs"])
+    def test_node_without_inputs_or_outputs_has_the_zero_map(
+            self, inputs, outputs):
+        a = -np.eye(3)
+        node = SystemNode(a, np.ones((3, inputs)), np.ones((outputs, 3)),
+                          np.zeros((outputs, inputs)))
+        est = io_map_norm(node, 1.0, 16)
+        assert (est.norm_estimate, est.bias) == (0.0, 0.0)
+        assert (est.iterations, est.residual) == (0, 0.0)
+        # T and nsteps are still checked first
+        with pytest.raises(ValueError, match="^nsteps must be at least 4"):
+            io_map_norm(node, 1.0, 3)
+        with pytest.raises(ValueError, match="^T must be positive"):
+            io_map_norm(node, 0.0, 16)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("horizon", [10.0 ** e
                                          for e in range(-300, 301, 20)])
     def test_integrator_norm_at_any_scale(self, horizon):

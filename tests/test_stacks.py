@@ -1,5 +1,5 @@
 """Stacked primitives against loops of one-matrix calls, and run_verify
-against the per-case suite loops it replaced.
+against per-case loops of its two passes.
 
 Every primitive the verify suites call takes a stack (..., n, n) through
 the same code as one matrix.  The oracle for a stack is the loop of
@@ -324,44 +324,33 @@ class TestStackErrorsNameTheMember:
         assert not one.admissible and one.closed_loop is None
 
 
-# The per-case suite loops run_verify had before it grouped cases by
-# dimension: the oracle for its verdicts, values and generator stream.
+# The per-case loops of run_verify's two passes, before it grouped cases
+# by dimension: the oracle for its verdicts, values and generator stream.
 
-def oracle_cayley_bounds(rng, config):
-    worst = -np.inf
+def oracle_square_pass(rng, config):
+    bounds = margins = -np.inf
+    roundtrip = 0.0
     for _ in range(config.cases):
         n = int(rng.integers(1, config.max_dim + 1))
-        s = AccretiveOperator(random_accretive(rng, n, config.delta_floor))
+        m = random_matrix(rng, n)
+        s = AccretiveOperator(cli._accretive(m, config.delta_floor))
         k = cayley_of_accretive(s)
-        worst = max(worst, k.norm - strict_contraction_bound(s))
+        bounds = max(bounds, k.norm - strict_contraction_bound(s))
         s_back = accretive_of_contraction(k)
-        worst = max(worst, accretivity_lower_bound(k) - s_back.delta)
-        worst = max(worst, op_norm(s.matrix) - s_norm_bound(k))
-    return cli._check("cayley_bounds", worst, config.tol)
-
-
-def oracle_cayley_roundtrip(rng, config):
-    worst = 0.0
-    for _ in range(config.cases):
-        n = int(rng.integers(1, config.max_dim + 1))
-        s = AccretiveOperator(random_accretive(rng, n, config.delta_floor))
-        s_back = accretive_of_contraction(cayley_of_accretive(s))
+        bounds = max(bounds, accretivity_lower_bound(k) - s_back.delta)
+        bounds = max(bounds, op_norm(s.matrix) - s_norm_bound(k))
         err = op_norm(s_back.matrix - s.matrix) / (1.0 + op_norm(s.matrix))
-        worst = max(worst, err)
-    return cli._check("cayley_roundtrip", worst, config.tol)
+        roundtrip = max(roundtrip, err)
+        report = contraction_certificate(cli._dissipative(m))
+        margins = max(margins, max(report.norms) - 1.0)
+    return [cli._check("cayley_bounds", bounds, config.tol),
+            cli._check("cayley_roundtrip", roundtrip, config.tol),
+            cli._check("contraction_margins", margins, config.tol)]
 
 
-def oracle_contraction_margins(rng, config):
-    worst = -np.inf
-    for _ in range(config.cases):
-        n = int(rng.integers(1, config.max_dim + 1))
-        report = contraction_certificate(random_dissipative(rng, n))
-        worst = max(worst, max(report.norms) - 1.0)
-    return cli._check("contraction_margins", worst, config.tol)
-
-
-def oracle_loop_vs_feedback(rng, config):
-    worst = 0.0
+def oracle_loop_pass(rng, config):
+    loop = 0.0
+    lmi = -np.inf
     for _ in range(config.cases):
         n1 = int(rng.integers(1, config.max_dim + 1))
         n2 = int(rng.integers(1, config.max_dim + 1))
@@ -370,31 +359,20 @@ def oracle_loop_vs_feedback(rng, config):
         a_f = a_s_via_feedback(ext, s)
         a_l = internal_loop(ext, s).a_s
         err = op_norm(a_f - a_l) / (1.0 + op_norm(a_l))
-        worst = max(worst, err)
-    return cli._check("loop_vs_feedback", worst, config.tol)
-
-
-def oracle_passivity_lmi(rng, config):
+        loop = max(loop, err)
+        lmi = max(lmi, passivity_check(external_cayley(ext)))
     if config.negative_control:
         one, zero = np.eye(1), np.zeros((1, 1))
         node = external_cayley(ExtendedOperator(one, zero, zero, zero))
-        return cli._check("passivity_lmi", passivity_check(node), config.tol)
-    worst = -np.inf
-    for _ in range(config.cases):
-        n1 = int(rng.integers(1, config.max_dim + 1))
-        n2 = int(rng.integers(1, config.max_dim + 1))
-        node = external_cayley(random_dissipative_ext(rng, n1, n2))
-        worst = max(worst, passivity_check(node))
-    return cli._check("passivity_lmi", worst, config.tol)
+        lmi = passivity_check(node)
+    return [cli._check("loop_vs_feedback", loop, config.tol),
+            cli._check("passivity_lmi", lmi, config.tol)]
 
 
-# in run_verify's order, which is the order the suites draw in
-SUITES = (
-    (cli._check_cayley_bounds, oracle_cayley_bounds),
-    (cli._check_cayley_roundtrip, oracle_cayley_roundtrip),
-    (cli._check_contraction_margins, oracle_contraction_margins),
-    (cli._check_loop_vs_feedback, oracle_loop_vs_feedback),
-    (cli._check_passivity_lmi, oracle_passivity_lmi),
+# in run_verify's order, which is the order the passes draw in
+PASSES = (
+    (cli._square_pass, oracle_square_pass),
+    (cli._loop_pass, oracle_loop_pass),
 )
 
 
@@ -424,12 +402,12 @@ def test_run_verify_matches_per_case_oracle(monkeypatch, seed, keys, block):
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
     wanted = []
-    for suite, oracle in SUITES:
-        got, want = suite(rng, config), oracle(oracle_rng, config)
-        assert_same_checks([got], [want])
+    for run_pass, oracle in PASSES:
+        got, want = run_pass(rng, config), oracle(oracle_rng, config)
+        assert_same_checks(got, want)
         # the same draws in the same order
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        wanted.append(want)
+        wanted.extend(want)
     assert_same_checks(cli.run_verify(config).checks,
                        sorted(wanted, key=lambda c: c.name))
 
