@@ -300,17 +300,16 @@ class TestRunSimulate:
         report, blocks = run_simulate(parse_config(text))
         return report, "".join(blocks)
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    @pytest.mark.parametrize("experiment", ["viscous", "structural",
-                                            "combined", "wave_heat"])
-    def test_energy_matches_the_exact_sine_mode(self, experiment, n):
-        # with unit rho and young the sine start stays in span{(sin pi xi,
-        # 0), (0, cos pi xi)}, whose two halves have equal squared norms
-        # n/2; there the generator is M = [[-(k_v + k_s w^2), -w], [w, 0]]
-        # with w = (2/h) sin(pi h/2), so E_k / E_0 = |z_k|^2 for z_k =
-        # step(M)^k (1, 0)
-        report, csv_text = self.simulate("experiment = %s\nn = %d\n"
-                                         % (experiment, n))
+    def sine_mode_gap(self, text, experiment, n):
+        """Largest |E_k / E_0 - exact| of a simulate run from the sine mode.
+
+        With unit rho and young the sine start stays in span{(sin pi xi,
+        0), (0, cos pi xi)}, whose two halves have equal squared norms
+        n/2; there the generator is M = [[-(k_v + k_s w^2), -w], [w, 0]]
+        with w = (2/h) sin(pi h/2), so E_k / E_0 = |z_k|^2 for z_k =
+        step(M)^k (1, 0).
+        """
+        report, csv_text = self.simulate(text)
         config = report.config
         k_v = 0.0 if experiment in ("structural", "wave_heat") else 1.0
         k_s = 0.0 if experiment in ("viscous", "wave_heat") else 1.0
@@ -328,8 +327,26 @@ class TestRunSimulate:
         for _ in energy:
             exact.append(z @ z)
             z = step @ z
-        gap = np.abs(energy / energy[0] - exact).max()
-        assert gap <= 1e-11
+        return np.abs(energy / energy[0] - exact).max()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("experiment", ["viscous", "structural",
+                                            "combined", "wave_heat"])
+    def test_energy_matches_the_exact_sine_mode(self, experiment, n):
+        text = "experiment = %s\nn = %d\n" % (experiment, n)
+        assert self.sine_mode_gap(text, experiment, n) <= 1e-11
+
+    @pytest.mark.parametrize("experiment", ["viscous", "structural",
+                                            "combined", "wave_heat"])
+    def test_long_run_energy_matches_the_exact_sine_mode(self, experiment):
+        """40,000 steps at dim 31 run in chunks of 16 (simulate_semigroup).
+
+        The worst gap measured was 7.0e-13 (wave_heat, expm), against
+        6.2e-14 with one product per step; the other three were at most
+        6.7e-15 either way.
+        """
+        text = "experiment = %s\nn = 16\nT = 200\ndt = 0.005\n" % experiment
+        assert self.sine_mode_gap(text, experiment, 16) <= 1e-11
 
     def test_viscous_decay(self):
         report, csv_text = self.simulate(

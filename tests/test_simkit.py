@@ -285,6 +285,12 @@ class TestSimulateSemigroup:
             simulate_semigroup(gen, gram, start, T=0.5, dt=0.1,
                                stepper=stepper)
             assert step_out_dtypes == [dtype] * 5
+            # 1,100 steps at dim 15 run in chunks, across a ledger block
+            del step_out_dtypes[:]
+            simulate_semigroup(gen, gram, start, T=110.0, dt=0.1,
+                               stepper=stepper)
+            assert 0 < len(step_out_dtypes) < 1100
+            assert set(step_out_dtypes) == {np.dtype(dtype)}
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_real_energy_matches_complex_path(self, step_out_dtypes,
@@ -321,6 +327,104 @@ class TestSimulateSemigroup:
             oracle.append(gram.weighted_vector_norm(x) ** 2)
             x = step @ x
         assert (np.abs(tr.energy - oracle) <= 1e-13 * np.array(oracle)).all()
+
+    @staticmethod
+    def ledger_case(rng, kind, weight):
+        """A dim-7 generator, start and Gram: a real or complex step, and
+        no Gram, a diagonal one or a dense one."""
+        if kind == "real":
+            a, _, x0 = TestSimulateSemigroup.viscous_fixture(4)
+        else:
+            a = random_dissipative(rng, 7)
+            x0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        if weight == "none":
+            return a, None, x0
+        if weight == "diagonal":
+            return a, Gram(np.diag(rng.uniform(0.5, 2.0, 7))), x0
+        m = rng.standard_normal((7, 7))
+        return a, Gram(m @ m.T + 7.0 * np.eye(7)), x0
+
+    @staticmethod
+    def one_step_energies(a, gram, x0, dt, stepper, nsamples):
+        """Oracle: x_{k+1} = step @ x_k one product at a time, each ledger
+        block of states reduced to energies by the package's own call."""
+        step = expm(a, dt) if stepper == "expm" else cn_step(a, dt)
+        states = np.empty((nsamples, len(x0)), np.result_type(step, x0))
+        states[0] = x0
+        step = step.astype(states.dtype)
+        for k in range(1, nsamples):
+            states[k] = step @ states[k - 1]
+        energy = []
+        for start in range(0, nsamples, simkit._LEDGER_BLOCK):
+            rows = states[start:start + simkit._LEDGER_BLOCK]
+            energy.append(np.einsum("ij,ij->i", rows.conj(), rows).real
+                          if gram is None else gram.squared_norms(rows))
+        return np.concatenate(energy)
+
+    @pytest.mark.parametrize("weight", ["none", "diagonal", "dense"])
+    @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_chunked_ledger_matches_the_one_step_loop(self, rng, kind,
+                                                      stepper, weight):
+        a, gram, x0 = self.ledger_case(rng, kind, weight)
+        dt = 2.0 ** -10
+        block = simkit._LEDGER_BLOCK
+        oracle = self.one_step_energies(a, gram, x0, dt, stepper,
+                                        8 * block + 1)
+        # the edges of the first and the eighth ledger block, counts that
+        # no chunk divides, and the shortest run that chunks at dim 7
+        for nsamples in (block - 1, block, block + 1, 8 * block - 1,
+                         8 * block, 8 * block + 1, block + 9, 3 * block - 5,
+                         16 * 7 + 1):
+            tr = simulate_semigroup(a, gram, x0, T=(nsamples - 1) * dt,
+                                    dt=dt, stepper=stepper)
+            expected = oracle[:nsamples]
+            assert (np.abs(tr.energy - expected) <= 1e-13 * expected).all()
+
+    @pytest.mark.parametrize("weight", ["none", "diagonal", "dense"])
+    @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_short_runs_step_one_product_at_a_time(
+            self, rng, step_out_dtypes, kind, stepper, weight):
+        a, gram, x0 = self.ledger_case(rng, kind, weight)
+        dt = 2.0 ** -10
+        # below 16 dim steps: the one-step loop, bit for bit
+        for nsamples in (2, 17, 16 * 7):
+            del step_out_dtypes[:]
+            tr = simulate_semigroup(a, gram, x0, T=(nsamples - 1) * dt,
+                                    dt=dt, stepper=stepper)
+            assert len(step_out_dtypes) == nsamples - 1
+            assert (tr.energy == self.one_step_energies(
+                a, gram, x0, dt, stepper, nsamples)).all()
+        # from 16 dim steps on, fewer products than steps
+        del step_out_dtypes[:]
+        simulate_semigroup(a, gram, x0, T=16 * 7 * dt, dt=dt,
+                           stepper=stepper)
+        assert len(step_out_dtypes) < 16 * 7
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_short_run_carries_one_product_at_a_time(self, step_out_dtypes,
+                                                     weighted):
+        # dim 127 steps one product at a time below 2,032 steps, across
+        # a ledger block and its carry
+        a, gram, x0 = self.viscous_fixture(64)
+        gram = gram if weighted else None
+        dt = 2.0 ** -10
+        tr = simulate_semigroup(a, gram, x0, T=2030 * dt, dt=dt,
+                                stepper="crank_nicolson")
+        assert len(step_out_dtypes) == 2030
+        assert (tr.energy == self.one_step_energies(
+            a, gram, x0, dt, "crank_nicolson", 2031)).all()
+
+    def test_growing_power_steps_one_product_at_a_time(self, step_out_dtypes):
+        # S^16 = diag(e^800, e^-16) overflows, while the start stays on
+        # the decaying mode: no overflow, no warning, the one-step bits
+        a = np.diag([50.0, -1.0])
+        x0 = np.array([0.0, 1.0])
+        tr = simulate_semigroup(a, x0=x0, T=64.0, dt=1.0)
+        assert len(step_out_dtypes) == 64
+        assert (tr.energy == self.one_step_energies(
+            a, None, x0, 1.0, "expm", 65)).all()
 
     def test_memory_does_not_grow_with_the_states(self):
         # 4 more blocks of steps at dim 64 may add the times and the
@@ -563,6 +667,20 @@ class TestIoMapNorm:
             io_map_norm(node, 1.0, 3)
         with pytest.raises(ValueError, match="^T must be positive"):
             io_map_norm(node, 0.0, 16)
+
+    def test_node_without_state_has_the_map_d(self):
+        # blocks D, 0, ..., 0: the feedthrough fixture's estimate, and no
+        # margin of the empty generator
+        node = SystemNode(np.zeros((0, 0)), np.zeros((0, 1)),
+                          np.zeros((1, 0)), 0.5 * np.eye(1))
+        est = io_map_norm(node, 1.0, 8)
+        assert est == io_map_norm(scalar_node(-1.0, 0.0, 0.0, 0.5), 1.0, 8)
+        d = np.arange(6.0).reshape(3, 2) + 1j
+        node = SystemNode(np.zeros((0, 0)), np.zeros((0, 2)),
+                          np.zeros((3, 0)), d)
+        est = io_map_norm(node, 2.0, 16)
+        assert abs(est.norm_estimate - op_norm(d)) <= 1e-14 * op_norm(d)
+        assert feedthrough_deviation(node, [1.0, 2.0], 16) == [0.0, 0.0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("horizon", [10.0 ** e
