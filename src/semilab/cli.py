@@ -34,7 +34,7 @@ from .cayley import (
     s_norm_bound,
     strict_contraction_bound,
 )
-from .feedback import a_s_via_feedback, internal_loop
+from .feedback import _closed_main, internal_loop
 from .numkernel import (
     Gram,
     _herm_eigvalsh,
@@ -375,16 +375,16 @@ def _dimension_groups(rng, config, draw):
     key, matrices); every suite of the pass is computed from the same
     groups.  Each block of up to _VERIFY_BLOCK cases is drawn in case
     order before anything is computed from it, so the generator stream is
-    that of one case after another; the block is then yielded as one
-    (key, stacked matrices) pair per dimension key, in key order.
+    that of one case after another; the block is then yielded as a list
+    of (key, stacked matrices) pairs, one per dimension key, in key order.
     """
     for first in range(0, config.cases, _VERIFY_BLOCK):
         groups = {}
         for _ in range(min(_VERIFY_BLOCK, config.cases - first)):
             key, matrices = draw(rng, config)
             groups.setdefault(key, []).append(matrices)
-        for key in sorted(groups):
-            yield key, [np.stack(column) for column in zip(*groups.pop(key))]
+        yield [(key, [np.stack(column) for column in zip(*groups.pop(key))])
+               for key in sorted(groups)]
 
 
 def _draw_square(rng, config):
@@ -405,35 +405,57 @@ def _square_pass(rng, config):
     certificate of the dissipative shift of m."""
     bounds = margins = -np.inf
     roundtrip = 0.0
-    for _, (m,) in _dimension_groups(rng, config, _draw_square):
-        s = AccretiveOperator(_accretive(m, config.delta_floor))
-        k = cayley_of_accretive(s)
-        s_back = accretive_of_contraction(k)
-        s_norm = op_norm(s.matrix)
-        bounds = max(bounds, np.max(k.norm - strict_contraction_bound(s)),
-                     np.max(accretivity_lower_bound(k) - s_back.delta),
-                     np.max(s_norm - s_norm_bound(k)))
-        err = op_norm(s_back.matrix - s.matrix) / (1.0 + s_norm)
-        roundtrip = max(roundtrip, np.max(err))
-        report = contraction_certificate(_dissipative(m))
-        margins = max(margins, np.max(report.norms) - 1.0)
+    for block in _dimension_groups(rng, config, _draw_square):
+        for _, (m,) in block:
+            s = AccretiveOperator(_accretive(m, config.delta_floor))
+            k = cayley_of_accretive(s)
+            s_back = accretive_of_contraction(k)
+            s_norm = op_norm(s.matrix)
+            bounds = max(bounds, np.max(k.norm - strict_contraction_bound(s)),
+                         np.max(accretivity_lower_bound(k) - s_back.delta),
+                         np.max(s_norm - s_norm_bound(k)))
+            err = op_norm(s_back.matrix - s.matrix) / (1.0 + s_norm)
+            roundtrip = max(roundtrip, np.max(err))
+            report = contraction_certificate(_dissipative(m))
+            margins = max(margins, np.max(report.norms) - 1.0)
     return [_check("cayley_bounds", bounds, config.tol),
             _check("cayley_roundtrip", roundtrip, config.tol),
             _check("contraction_margins", margins, config.tol)]
 
 
 def _loop_pass(rng, config):
-    """loop_vs_feedback and passivity_lmi on one stream of (ext, S) draws."""
+    """loop_vs_feedback and passivity_lmi on one stream of (ext, S) draws.
+
+    S and its Cayley transform K depend on the S draw alone: each block
+    makes them once per loop size n2, and each (n1, n2) group reads its
+    rows as a contiguous slice (a strided view would round matmul
+    differently), so every value is bit for bit that of a per-group S.
+    Each group's Cayley node is built once, for the closure A^f of
+    a_s_via_feedback's path (feedback._closed_main) and the LMI.
+    """
     loop = 0.0
     lmi = -np.inf
-    for (n1, _), (m, s_raw) in _dimension_groups(rng, config, _draw_ext_and_s):
-        ext = _dissipative_ext(m, n1)
-        s = AccretiveOperator(_accretive(s_raw, config.delta_floor))
-        a_f = a_s_via_feedback(ext, s)
-        a_l = internal_loop(ext, s).a_s
-        loop = max(loop, np.max(op_norm(a_f - a_l) / (1.0 + op_norm(a_l))))
-        if not config.negative_control:
-            lmi = max(lmi, np.max(passivity_check(external_cayley(ext))))
+    for block in _dimension_groups(rng, config, _draw_ext_and_s):
+        loop_sizes = {}
+        for (n1, n2), (m, s_raw) in block:
+            loop_sizes.setdefault(n2, []).append((n1, m, s_raw))
+        for groups in loop_sizes.values():
+            s = AccretiveOperator(_accretive(
+                np.concatenate([s_raw for _, _, s_raw in groups]),
+                config.delta_floor))
+            k = cayley_of_accretive(s).matrix
+            first = 0
+            for n1, m, _ in groups:
+                rows = slice(first, first + len(m))
+                first = rows.stop
+                ext = _dissipative_ext(m, n1)
+                node = external_cayley(ext)
+                a_f = _closed_main(node, k[rows])
+                a_l = internal_loop(ext, s.matrix[rows]).a_s
+                loop = max(loop, np.max(op_norm(a_f - a_l)
+                                        / (1.0 + op_norm(a_l))))
+                if not config.negative_control:
+                    lmi = max(lmi, np.max(passivity_check(node)))
     if config.negative_control:
         # accretive 1x1 block: the Cayley node must fail the LMI
         one, zero = np.eye(1), np.zeros((1, 1))
@@ -496,8 +518,9 @@ def run_simulate(config):
     holds one block at a time.  CSV columns are t, energy,
     norm_bound_ok; norm_bound_ok flags rows whose energy stays within
     (1 + 1e-6) of the start.  A config asking for more than
-    MAX_SIMULATE_STEPS steps is refused before any setup, and one whose
-    exponential step overflows is refused by its dt.
+    MAX_SIMULATE_STEPS steps is refused before any setup, one whose
+    exponential step overflows is refused by its dt, and one whose states
+    overflow by its T.
     """
     _require_command(config, "simulate")
     # T/dt rounds above the budget; an overflowing ratio is refused too
@@ -509,9 +532,9 @@ def run_simulate(config):
         traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,
                                   config.stepper)
     except OverflowError as exc:
-        # only the exponential step e^{A dt} overflows, for a dt too large
-        raise ValueError("dt = %r is too large a step: %s"
-                         % (config.dt, exc)) from exc
+        # the message names dt when the step e^{A dt} overflows, and T when
+        # the states of a growing generator do
+        raise ValueError(str(exc)) from exc
     energy = traj.energy
     checks = []
     ratio = float(energy.max() / energy[0])

@@ -137,22 +137,30 @@ def check_admissible(node, k):
     return FeedbackResult(True, closed, cond)
 
 
+def _closed_main(node, k):
+    """A^f = A + B X of check_admissible's closure, and nothing else.
+
+    The one path from a node and K to A^f: X comes from _loop_solve, the
+    other closed-loop blocks are never formed, and an inadmissible K
+    raises InadmissibleFeedbackError with check_admissible's m_condition.
+    """
+    _, cond, x = _loop_solve(node, _feedback_matrix(k, node, "K"), "I - K D")
+    if x is None:
+        raise InadmissibleFeedbackError(cond)
+    return node.a + node.b @ x
+
+
 def a_s_via_feedback(ext, s):
     """Compute A_S through the external Cayley node and output feedback.
 
     Transforms ext to its Cayley node, closes the feedback K =
-    cayley_of_accretive(S), and returns the closed-loop main operator.
-    Exists to test the theorem that this equals internal_loop(ext, S);
-    the internal loop is the canonical computation path.
+    cayley_of_accretive(S), and returns the closed-loop main operator
+    A^f = A + B X alone (``_closed_main``).  Exists to test the theorem
+    that this equals internal_loop(ext, S); the internal loop is the
+    canonical computation path.
 
     Raises InadmissibleFeedbackError (carrying the condition number of
     I - K D) when K is not admissible for the node.
     """
-    if not isinstance(s, AccretiveOperator):
-        s = AccretiveOperator(s)
-    node = external_cayley(ext)
     k = cayley_of_accretive(s)
-    result = check_admissible(node, k)
-    if not result.admissible:
-        raise InadmissibleFeedbackError(result.m_condition)
-    return result.closed_loop.a
+    return _closed_main(external_cayley(ext), k)

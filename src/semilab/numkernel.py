@@ -69,9 +69,9 @@ def _refuse(bad, message, *values, kind=ValueError):
     matrix) and are read at that member; a stack prefixes the message
     with the member's index, so one matrix keeps its plain message.
     """
-    found = np.argwhere(bad)
-    if not len(found):
+    if not np.any(bad):
         return
+    found = np.argwhere(bad)
     index = tuple(int(i) for i in found[0])
     text = message % tuple(np.asarray(v)[index] for v in values)
     if index:

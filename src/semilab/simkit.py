@@ -165,6 +165,11 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     by 1.1-1.9e-14, and x + Q x, whose rounding is of order eps ||Q||, by
     6.2-7.2e-15.  Shorter runs, and runs whose S^b overflows, take one
     np.matmul(S, x, out=) per step.
+
+    An overflowing step e^{A dt} raises OverflowError naming dt, and
+    states that overflow (a growing generator) raise OverflowError naming
+    T at the first block whose energies are not finite, with no numpy
+    warning.
     """
     m = as_complex_matrix(a, "A")
     if m.ndim != 2:
@@ -184,7 +189,11 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
                              "dimension %d" % (m.shape[0], len(gram.matrix)))
     nsteps = _steps_of(T, dt)
     if stepper == "expm":
-        step = expm(m, float(dt))
+        try:
+            step = expm(m, float(dt))
+        except OverflowError as exc:
+            raise OverflowError("dt = %r is too large a step: %s"
+                                % (float(dt), exc)) from exc
     elif stepper == "crank_nicolson":
         step = cn_step(m, float(dt))
     else:
@@ -219,20 +228,26 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     for start in range(0, nsteps + 1, _LEDGER_BLOCK):
         stop = min(start + _LEDGER_BLOCK, nsteps + 1)
         rows = block[:stop - start]
-        if start:
-            # the carry from the last state of the full block before
-            np.matmul(step, block[-1], out=block[0])
-        for c in range(1, -(-len(rows) // chunk)):
-            np.matmul(power, starts[c - 1], out=starts[c])
-            if chunk > 1:
-                starts[c] += starts[c - 1]
-        for j in range(1, chunk):
-            held = -(-(len(rows) - j) // chunk)
-            np.matmul(chunks[:held, j - 1], step.T, out=chunks[:held, j])
-        if gram is None:
-            energy[start:stop] = np.einsum("ij,ij->i", rows.conj(), rows).real
-        else:
-            energy[start:stop] = gram.squared_norms(rows)
+        # overflowing states are refused by T below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if start:
+                # the carry from the last state of the full block before
+                np.matmul(step, block[-1], out=block[0])
+            for c in range(1, -(-len(rows) // chunk)):
+                np.matmul(power, starts[c - 1], out=starts[c])
+                if chunk > 1:
+                    starts[c] += starts[c - 1]
+            for j in range(1, chunk):
+                held = -(-(len(rows) - j) // chunk)
+                np.matmul(chunks[:held, j - 1], step.T, out=chunks[:held, j])
+            if gram is None:
+                energy[start:stop] = np.einsum("ij,ij->i", rows.conj(),
+                                               rows).real
+            else:
+                energy[start:stop] = gram.squared_norms(rows)
+        if not np.isfinite(energy[start:stop]).all():
+            raise OverflowError("the states overflowed before T = %r"
+                                % float(T))
     return Trajectory(times, energy)
 
 

@@ -153,11 +153,12 @@ def passivity_check(node):
     scattering passive iff the returned value is at most 1e-9.
     """
     a, b, c, d = node.a, node.b, node.c, node.d
-    m = node.ninputs
+    n, m = node.nstates, node.ninputs
     ch = c.conj().mT
+    block = np.empty(a.shape[:-2] + (n + m, n + m), np.result_type(a, b, c, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = b + ch @ d
-        block = np.block([[a + a.conj().mT + ch @ c, cross],
-                          [cross.conj().mT,
-                           d.conj().mT @ d - np.eye(m, dtype=d.dtype)]])
+        block[..., :n, :n] = a + a.conj().mT + ch @ c
+        block[..., :n, n:] = cross = b + ch @ d
+        block[..., n:, :n] = cross.conj().mT
+        block[..., n:, n:] = d.conj().mT @ d - np.eye(m, dtype=d.dtype)
     return _per_member(_herm_eigvalsh(block, "passivity block")[..., -1], a)

@@ -901,6 +901,21 @@ class TestMain:
             "error: dt = %s is too large a step: %s\n" % (dt, overflow)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_states_are_refused_by_t(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # no experiment's generator grows, so a growing one stands in
+        def growing_setup(config):
+            return np.eye(1), Gram(np.eye(1)), np.ones(1)
+
+        monkeypatch.setattr(semilab.cli, "_simulate_setup", growing_setup)
+        cfg = self.write_config(tmp_path,
+                                "experiment = viscous\nT = 2000\ndt = 1\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "error: the states overflowed before T = 2000.0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_wall_time_covers_the_writing(self, tmp_path, capsys,
                                           monkeypatch):
         # a clock that moves only while the outputs are written: the

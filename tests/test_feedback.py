@@ -201,6 +201,17 @@ class TestLoopVsFeedback:
         with pytest.raises(InadmissibleFeedbackError):
             a_s_via_feedback(ext, s)
 
+    def test_inadmissible_condition_is_check_admissibles(self):
+        # the closure a_s_via_feedback raises from is check_admissible's
+        ext = scalar_ext(0.0, 0.0, 0.0, -1j)
+        s = AccretiveOperator(np.array([[1j]]))
+        result = check_admissible(external_cayley(ext),
+                                  cayley_of_accretive(s))
+        assert not result.admissible
+        with pytest.raises(InadmissibleFeedbackError) as raised:
+            a_s_via_feedback(ext, s)
+        assert raised.value.m_condition == result.m_condition
+
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -426,6 +426,22 @@ class TestSimulateSemigroup:
         assert (tr.energy == self.one_step_energies(
             a, None, x0, 1.0, "expm", 65)).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [[[1.0]], np.diag([1.0, -1.0]), [[50.0]]],
+                             ids=["one", "saddle", "fifty"])
+    def test_overflowing_states_are_refused_by_t(self, a):
+        # e^{A dt} is finite, the states are not by t = 710: the named
+        # refusal, with no numpy warning first
+        with pytest.raises(OverflowError, match=r"^the states overflowed "
+                           r"before T = 2000\.0$"):
+            simulate_semigroup(a, x0=np.ones(len(a)), T=2000.0, dt=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_is_refused_by_dt(self):
+        with pytest.raises(OverflowError, match=r"^dt = 1e\+300 is too large "
+                           "a step: matrix exponential overflowed$"):
+            simulate_semigroup([[1.0]], x0=[1.0], T=1e300, dt=1e300)
+
     def test_memory_does_not_grow_with_the_states(self):
         # 4 more blocks of steps at dim 64 may add the times and the
         # energies (16 B a step), not the states (512 B a step)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilab import cli
+from semilab import cli, feedback
 from semilab.cayley import (
     AccretiveOperator,
     ContractionOperator,
@@ -410,6 +410,90 @@ def test_run_verify_matches_per_case_oracle(monkeypatch, seed, keys, block):
         wanted.extend(want)
     assert_same_checks(cli.run_verify(config).checks,
                        sorted(wanted, key=lambda c: c.name))
+
+
+def grouped_loop_pass(rng, config):
+    """The loop pass as it was before its S side was stacked by loop size:
+    per (n1, n2) group of a block its own S and K, and the Cayley node
+    built by a_s_via_feedback and again for the passivity LMI."""
+    loop = 0.0
+    lmi = -np.inf
+    for first in range(0, config.cases, cli._VERIFY_BLOCK):
+        groups = {}
+        for _ in range(min(cli._VERIFY_BLOCK, config.cases - first)):
+            n1 = int(rng.integers(1, config.max_dim + 1))
+            n2 = int(rng.integers(1, config.max_dim + 1))
+            groups.setdefault((n1, n2), []).append(
+                (random_matrix(rng, n1 + n2), random_matrix(rng, n2)))
+        for (n1, _), members in sorted(groups.items()):
+            m, s_raw = (np.stack(column) for column in zip(*members))
+            ext = cli._dissipative_ext(m, n1)
+            s = AccretiveOperator(cli._accretive(s_raw, config.delta_floor))
+            a_f = a_s_via_feedback(ext, s)
+            a_l = internal_loop(ext, s).a_s
+            loop = max(loop, np.max(op_norm(a_f - a_l)
+                                    / (1.0 + op_norm(a_l))))
+            if not config.negative_control:
+                lmi = max(lmi, np.max(passivity_check(external_cayley(ext))))
+    if config.negative_control:
+        one, zero = np.eye(1), np.zeros((1, 1))
+        lmi = passivity_check(
+            external_cayley(ExtendedOperator(one, zero, zero, zero)))
+    return [cli._check("loop_vs_feedback", loop, config.tol),
+            cli._check("passivity_lmi", lmi, config.tol)]
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("block", [256, 3])
+@pytest.mark.parametrize("max_dim, cases", [(1, 40), (8, 40), (64, 6)])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_loop_pass_matches_the_grouped_pass_exactly(
+        monkeypatch, seed, max_dim, cases, block, negative_control):
+    # S and K of every member are its own whatever stack they come from,
+    # so stacking the S side by n2 moves no value by a single bit
+    monkeypatch.setattr(cli, "_VERIFY_BLOCK", block)
+    config = cli.ExperimentConfig(experiment="verify_random", seed=seed,
+                                  max_dim=max_dim, cases=cases,
+                                  negative_control=negative_control)
+    rng = np.random.default_rng(seed)
+    grouped_rng = np.random.default_rng(seed)
+    assert cli._loop_pass(rng, config) == grouped_loop_pass(grouped_rng,
+                                                            config)
+    assert rng.bit_generator.state == grouped_rng.bit_generator.state
+
+
+def test_loop_pass_builds_each_factorization_once(monkeypatch):
+    # per block: one external_cayley per (n1, n2) group, one
+    # cayley_of_accretive per square-pass n and per loop size n2, and no
+    # check_admissible, whose B^f, D^f and node the loop pass never reads
+    calls = {"external_cayley": 0, "cayley_of_accretive": 0,
+             "check_admissible": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, count)
+
+    for module in (cli, feedback):
+        for name in ("external_cayley", "cayley_of_accretive"):
+            counted(module, name)
+    counted(feedback, "check_admissible")
+    monkeypatch.setattr(cli, "_VERIFY_BLOCK", 16)
+    config = cli.ExperimentConfig(experiment="verify_random", seed=3,
+                                  cases=40, max_dim=4)
+    rng = np.random.default_rng(config.seed)
+    squares = [{cli._draw_square(rng, config)[0] for _ in range(size)}
+               for size in (16, 16, 8)]
+    loops = [{cli._draw_ext_and_s(rng, config)[0] for _ in range(size)}
+             for size in (16, 16, 8)]
+    cli.run_verify(config)
+    assert calls["external_cayley"] == sum(map(len, loops))
+    assert calls["cayley_of_accretive"] == sum(map(len, squares)) + sum(
+        len({n2 for _, n2 in keys}) for keys in loops)
+    assert calls["check_admissible"] == 0
 
 
 def test_memory_does_not_grow_with_the_cases(monkeypatch):
