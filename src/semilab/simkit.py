@@ -25,6 +25,7 @@ import numpy as np
 
 from .numkernel import (
     Gram,
+    _banded_inverse,
     _require_regular_given,
     _square,
     as_complex_matrix,
@@ -60,18 +61,41 @@ def cn_step(a, dt):
 
     For dissipative A this is a contraction for every dt > 0.  Raises
     ValueError when F = I - dt/2 A is singular to working precision by
-    the package's one rule (cond(F) not below COND_LIMIT).  The LU solve
-    of F X = I + dt/2 A = 2I - F gives F^{-1} = (X + I)/2 for free, and
-    ||F||_F ||(X + I)/2||_F, an upper bound on cond(F) = ||F||_2
-    ||F^{-1}||_2, decides the rule with no SVD when it is below
-    COND_LIMIT / 100.  That is sound: the LU solve is backward stable, so
-    the bound is at least the cond of some F + E with ||E|| <= g n eps
-    ||F|| (g the pivot growth), and when cond(F) >= COND_LIMIT,
-    sigma_min(F + E) <= (1 / COND_LIMIT + g n eps) ||F||, which keeps
-    that cond above COND_LIMIT / 100 while g n eps < 9.9e-11 (n eps is
-    1.7e-13 at n = 767).  Otherwise, and when the LU fails, the
-    values-only SVD of F decides (numkernel._require_regular_given).
-    For dissipative A, ||F^{-1}||_2 <= 1, so the bound decides unless
+    the package's one rule (cond(F) not below COND_LIMIT).
+
+    A banded F, one matrix of dimension at least _BANDED_MIN_DIM whose
+    Cuthill-McKee order makes it block tridiagonal in blocks of 16 rows
+    (every simulate generator is), gets F^{-1} from
+    numkernel._banded_inverse and the step S = 2 F^{-1} - I.  That
+    elimination pivots only inside its blocks.  For every simulate
+    generator A = A_S H, with H the diagonal energy weight and A_S
+    dissipative, H^{1/2} F H^{-1/2} = I - dt/2 H^{1/2} A_S H^{1/2} has
+    Hermitian part at least I, and so does its renumbering; block LU of
+    such a matrix is stable with no pivoting across blocks (J. W.
+    Demmel, N. J. Higham and R. S. Schreiber, Numer. Linear Algebra
+    Appl. 2, 1995), and the diagonal scaling by H^{1/2} only rescales
+    the block LU factors of the renumbered F.  cn_step does not see H,
+    so the inverse must also pass a residual probe, ||F X v - v|| <=
+    n eps ||F||_F ||X||_F ||v|| on two fixed vectors, the bound LU with
+    partial pivoting and unit growth meets; one that fails it, and every
+    other F (a stack, a smaller or a dense one), takes the dense LU
+    below, so no input gets a worse step than that solve.  S itself is
+    dense either way: a banded solve per step would cost the stepping
+    loop some n/2 numpy calls where one product costs one.
+
+    The LU solve of F X = I + dt/2 A = 2I - F gives F^{-1} = (X + I)/2
+    for free.  Either way ||F||_F ||F^{-1}||_F, an upper bound on
+    cond(F) = ||F||_2 ||F^{-1}||_2, decides the rule with no SVD when it
+    is below COND_LIMIT / 100.  That is sound: the LU solve is backward
+    stable, so the bound is at least the cond of some F + E with
+    ||E|| <= g n eps ||F|| (g the pivot growth), and when
+    cond(F) >= COND_LIMIT, sigma_min(F + E) <= (1 / COND_LIMIT +
+    g n eps) ||F||, which keeps that cond above COND_LIMIT / 100 while
+    g n eps < 9.9e-11 (n eps is 1.7e-13 at n = 767); the probe holds the
+    banded inverse to the same residual.  Otherwise, and when the LU
+    fails, the values-only SVD of F decides
+    (numkernel._require_regular_given).  For dissipative A,
+    ||F^{-1}||_2 <= 1, so the bound decides unless
     n (1 + dt/2 ||A||_2) nears 1e10.
     """
     m = _square(a, "A")
@@ -83,8 +107,16 @@ def cn_step(a, dt):
     # an overflowing dt/2 A is refused by name below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         factor = ident - (dt / 2.0) * m
-        step = ident + (dt / 2.0) * m
     factor = as_complex_matrix(factor, name)
+    inverse = _banded_inverse(factor)
+    if inverse is not None:
+        _require_regular_given(factor, inverse, name)
+        # S = 2 F^{-1} - I, in the inverse's own buffer
+        inverse *= 2.0
+        inverse -= ident
+        return inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = ident + (dt / 2.0) * m
     try:
         # the solve replaces its right-hand side I + dt/2 A, which is freed
         step = np.linalg.solve(factor, step)
@@ -354,18 +386,22 @@ def _ritz(alphas, betas):
 
     The residual beta_k |e_k^T p_1|, with p_1 the top left singular vector
     of B_k, is ||T^H u - theta v|| for the Ritz pair (u, v) = (U_k p_1,
-    V_k q_1); T v = theta u holds exactly.
+    V_k q_1); T v = theta u holds exactly.  theta^2 and p_1 are the top
+    eigenpair of the tridiagonal B_k B_k^T, which needs neither the right
+    singular vectors nor the SVD's workspace; theta^2 has an error of
+    order eps theta^2, so theta keeps its relative accuracy.
     """
     bidiag = np.diag(alphas) + np.diag(betas[:-1], 1)
-    left, sing, _ = np.linalg.svd(bidiag)
-    return float(sing[0]), float(betas[-1] * abs(left[-1, 0]))
+    values, vectors = np.linalg.eigh(bidiag @ bidiag.T)
+    return (float(np.sqrt(max(values[-1], 0.0))),
+            float(betas[-1] * abs(vectors[-1, -1])))
 
 
 def _next_check(k):
     """Step count of the Ritz check after the one at k steps.
 
     Every 4 steps up to 36, then about every k/8 (4, 8, ..., 36, 44, 52,
-    60, 68, 80, ...), so the O(k^3) SVDs of _ritz sum to a constant
+    60, 68, 80, ...), so the O(k^3) eigensolves of _ritz sum to a constant
     times the last one.  The checks are multiples of 4 and a Ritz value
     never falls as k grows (B_k leads B_{k+1}), so the run stops no
     earlier, and no lower, than checking every 4 steps would.

@@ -105,18 +105,24 @@ def _loop_solve(node, km, name):
     factor, named ``name``, with the unit-anchored cond.  When K D is
     exactly zero there is no SVD: factor None, cond 1.0 per member.  X is
     None when one matrix is singular; a stack names its first singular
-    member in a ValueError.  A diagonal K (the S of a PDE loop, or the
-    identity) scales the rows of C and D.
+    member in a ValueError.  A diagonal K (the S of a PDE loop) scales
+    the rows of C and D, and K None, the identity of the external Cayley
+    transform, passes them through.
     """
-    if not node.d.any() or not (kd := _matmul(km, node.d)).any():
-        x = _matmul(km, node.c)
+    def k_times(m):
+        # contiguous, as a scaling's result is: matmul may round a strided
+        # operand differently
+        return np.ascontiguousarray(m) if km is None else _matmul(km, m)
+
+    if not node.d.any() or not (kd := k_times(node.d)).any():
+        x = k_times(node.c)
         return None, _per_member(np.ones(x.shape[:-2]), x), x
     # unit-scale anchor: I - K D lives at scale >= 1 for contractive pairs,
     # so a uniformly tiny factor signals an unbounded loop, not a benign one
     factor = SvdFactor(np.eye(node.ninputs) - kd, name, unit_anchor=True)
     if not np.ndim(factor.cond) and factor.singular:
         return factor, factor.cond, None
-    return factor, factor.cond, factor.solve(_matmul(km, node.c))
+    return factor, factor.cond, factor.solve(k_times(node.c))
 
 
 def external_cayley(ext):
@@ -131,13 +137,12 @@ def external_cayley(ext):
     """
     if not isinstance(ext, ExtendedOperator):
         raise TypeError("external_cayley expects an ExtendedOperator")
-    ident = np.eye(ext.ninputs, dtype=ext.d.dtype)
-    w, cond, x = _loop_solve(ext, ident, "I - A22")
+    w, cond, x = _loop_solve(ext, None, "I - A22")
     if x is None:
         _require_regular("I - A22", cond)
     b, d = (ext.b, ext.d) if w is None else (w.rsolve(ext.b), w.rsolve(ext.d))
     return SystemNode(ext.a + ext.b @ x, _SQRT2 * b, _SQRT2 * x,
-                      ident + 2.0 * d)
+                      np.eye(ext.ninputs, dtype=ext.d.dtype) + 2.0 * d)
 
 
 def passivity_check(node):

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from semilab import simkit
 from semilab.cli import _accretive, _dissipative, _dissipative_ext
 from semilab.cli import _random_matrix as random_matrix
 
@@ -57,6 +58,22 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counted)
     return calls
+
+
+@pytest.fixture
+def banded_results(monkeypatch):
+    """Whether each ``simkit._banded_inverse`` call of the test returned
+    an inverse, in call order: True where cn_step took the banded step."""
+    results = []
+    banded = simkit._banded_inverse
+
+    def recorded(f):
+        inverse = banded(f)
+        results.append(inverse is not None)
+        return inverse
+
+    monkeypatch.setattr(simkit, "_banded_inverse", recorded)
+    return results
 
 
 @pytest.fixture

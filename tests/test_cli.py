@@ -35,7 +35,7 @@ from semilab.cli import (
     _simulate_setup,
     main,
 )
-from semilab.numkernel import Gram
+from semilab.numkernel import _BANDED_MIN_DIM, Gram
 from semilab.pdelab import Grid1D
 from semilab.simkit import _LEDGER_BLOCK, IoMapEstimate, Trajectory
 
@@ -332,9 +332,14 @@ class TestRunSimulate:
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("experiment", ["viscous", "structural",
                                             "combined", "wave_heat"])
-    def test_energy_matches_the_exact_sine_mode(self, experiment, n):
+    def test_energy_matches_the_exact_sine_mode(self, experiment, n,
+                                                banded_results):
+        """A CN run of dim 2n - 1 >= _BANDED_MIN_DIM (n = 256) takes the
+        banded step; wave_heat steps by expm."""
         text = "experiment = %s\nn = %d\n" % (experiment, n)
         assert self.sine_mode_gap(text, experiment, n) <= 1e-11
+        assert banded_results == ([] if experiment == "wave_heat" else
+                                  [2 * n - 1 >= _BANDED_MIN_DIM])
 
     @pytest.mark.parametrize("experiment", ["viscous", "structural",
                                             "combined", "wave_heat"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semilab import simkit
+from semilab.cli import _simulate_setup, parse_config
 from semilab.feedback import internal_loop
 from semilab.numkernel import Gram, expm, op_norm, svd_solve
 from semilab.pdelab import Grid1D, PdeCoefficients, wave_ext, wave_viscous_ext
@@ -220,6 +221,109 @@ class TestCnStepSingularityOracle:
                                       "singular to working precision")
         else:
             assert message is None
+
+
+def simulate_generator(experiment, n):
+    """The generator and dt of a simulate run (cli._simulate_setup)."""
+    config = parse_config("experiment = %s\nn = %d\n" % (experiment, n))
+    return _simulate_setup(config)[0], config.dt
+
+
+def dense_cn_step(a, dt):
+    """Oracle: the dense LU step, written out as cn_step's fallback."""
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
+    return np.linalg.solve(ident - (dt / 2.0) * a, ident + (dt / 2.0) * a)
+
+
+def complex_banded_generator(rng, n):
+    """A dissipative complex tridiagonal generator, renumbered at random
+    so that only the Cuthill-McKee order makes it banded again."""
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    a = np.diag(off, 1) - np.diag(off.conj(), -1)
+    a -= np.diag(rng.uniform(0.0, 2.0, n) - 1j * rng.standard_normal(n))
+    order = rng.permutation(n)
+    return a[np.ix_(order, order)]
+
+
+# dims 191 (the waves) and 160 (degenerate), at or above _BANDED_MIN_DIM
+CN_EXPERIMENTS = [("viscous", 96), ("structural", 96), ("combined", 96),
+                  ("degenerate", 160)]
+
+
+class TestBandedCnStep:
+    """cn_step of a banded generator takes numkernel._banded_inverse and
+    agrees with the dense LU step; every other input keeps its bits."""
+
+    @pytest.mark.parametrize("case", [c[0] for c in CN_EXPERIMENTS]
+                             + ["complex", "wide_dt"])
+    def test_matches_the_dense_lu_step(self, rng, banded_results, case):
+        """Every CN experiment's generator above the crossover takes the
+        banded step (the recorded call), within N eps ||S||_F of the
+        dense one."""
+        if case == "complex":
+            a, dt = complex_banded_generator(rng, 180), 0.1
+        elif case == "wide_dt":
+            a, dt = simulate_generator("combined", 96)[0], 10.0
+        else:
+            a, dt = simulate_generator(case, dict(CN_EXPERIMENTS)[case])
+        step = cn_step(a, dt)
+        want = dense_cn_step(a, dt)
+        assert banded_results == [True] and step.dtype == want.dtype
+        gap = np.linalg.norm(step - want)
+        assert gap <= len(a) * np.finfo(float).eps * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["stack", "dense", "small"])
+    def test_other_inputs_keep_the_dense_bits(self, rng, banded_results,
+                                              case):
+        if case == "stack":
+            a = np.stack([complex_banded_generator(rng, 180)] * 2)
+        elif case == "dense":
+            m = rng.standard_normal((180, 180))
+            a = m - m.T - np.eye(180)
+        else:
+            a = simulate_generator("viscous", 64)[0]
+        step = cn_step(a, 0.01)
+        assert step.tobytes() == dense_cn_step(a, 0.01).tobytes()
+        assert banded_results == [False]
+
+    @pytest.mark.parametrize("case", ["laplacian", "zero"])
+    def test_singular_banded_factor_gets_the_dense_refusal(
+            self, svd_calls, banded_results, case):
+        # F = I - A is the path Laplacian, singular (F 1 = 0) and banded,
+        # or F = 0, with no nonzero to order
+        n = 200
+        f = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        f[0, 0] = f[-1, -1] = 1.0
+        if case == "zero":
+            f[:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message, _ = cn_step_against_svd_solve(np.eye(n) - f, svd_calls)
+        assert message.startswith("I - (dt/2) A is singular to working "
+                                  "precision (cond=")
+        assert banded_results == [False]
+
+    @pytest.mark.parametrize("pivot, banded", [(1e-14, False), (1.0, True)])
+    def test_cross_block_pivoting_fails_the_probe(
+            self, svd_calls, banded_results, pivot, banded):
+        # rows 0-15 are the first block; its Schur block has the lone
+        # pivot F[15, 15], and F[15:17, 15:17] = [[pivot, 1], [1, 1]] is
+        # regular, so F is too, but a pivot of 1e-14 grows the next Schur
+        # block by 1e14: only a row swap across the blocks avoids that
+        n = 200
+        f = np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        f[14, 15] = f[15, 14] = 0.0
+        f[15, 16] = f[16, 15] = 1.0
+        f[15, 15] = pivot
+        a = np.eye(n) - f
+        if banded:
+            step = cn_step(a, 2.0)
+            want = dense_cn_step(a, 2.0)
+            assert np.linalg.norm(step - want) <= \
+                n * np.finfo(float).eps * np.linalg.norm(want)
+        else:
+            cn_step_against_svd_solve(a, svd_calls)
+        assert banded_results[-1] == banded
 
 
 class TestSimulateSemigroup:
@@ -781,6 +885,22 @@ class TestIoMapNorm:
         every_four = simkit._toeplitz_norm(blocks)
         assert every_four[1] <= iterations
         assert theta >= every_four[0] - 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 36, 200])
+    def test_ritz_matches_the_full_svd(self, rng, k):
+        """theta from the top eigenvalue of B B^T is the SVD's within
+        32 eps theta, and the residual within the eps theta^2 / gap that
+        either top singular vector is accurate to."""
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            alphas, betas = rng.uniform(0.0, 2.0, (2, k))
+            bidiag = np.diag(alphas) + np.diag(betas[:-1], 1)
+            left, sing, _ = np.linalg.svd(bidiag)
+            theta, residual = simkit._ritz(alphas, betas)
+            gap = sing[0] - (sing[1] if k > 1 else 0.0)
+            assert abs(theta - sing[0]) <= 32 * eps * sing[0]
+            assert abs(residual - betas[-1] * abs(left[-1, 0])) <= \
+                4 * eps * sing[0] ** 2 / gap
 
     def test_monotone_in_horizon(self):
         node = scalar_node(0.0, 1.0, 1.0, 0.0)
