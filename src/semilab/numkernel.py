@@ -29,16 +29,12 @@ One singularity rule serves the whole package: a matrix is singular to
 working precision when the condition number from its singular values is
 not below COND_LIMIT, anchored at unit scale for the loop factor
 I - K D.  The Cayley and feedback constructions factor each matrix once
-through ``SvdFactor``, which keeps the singular vectors.  A caller that
-already holds a computed inverse decides the rule from it: the
-Frobenius bound ||a||_F ||a^{-1}||_F >= cond(a) settles it with no SVD
-when it is below COND_LIMIT / 100, and the values-only SVD is the
-fallback (``_require_regular_given``, used by the Crank-Nicolson step).
-That step inverts a banded factor by block-tridiagonal elimination
-(``_banded_inverse``), the one place a matrix's sparsity is used.
-The one-shot ``svd_solve`` (singular values, then LU) keeps the same
-rule but no longer has a caller in the package.  ``expm`` solves
-against its (13, 13) Pade denominator with numpy directly.
+through ``SvdFactor``, which keeps the singular vectors; the one-shot
+``svd_solve`` (singular values, then LU) is the Crank-Nicolson step's.
+That step first tries ``_banded_inverse``, block-tridiagonal elimination
+of a banded factor and the one place a matrix's sparsity is used; it
+certifies its own inverse, so the rule needs no SVD there.  ``expm``
+solves against its (13, 13) Pade denominator with numpy directly.
 """
 
 import math
@@ -224,11 +220,6 @@ def _require_regular(name, cond):
 #: blocks of 8 took 1.00-1.29x the time of blocks of 16, and blocks of 32
 #: 0.94-1.08x
 _BAND_BLOCK = 16
-#: smallest dimension ``_banded_inverse`` takes: in the same timing the
-#: dense LU step and the banded one took 0.55 and 0.63 ms at dim 128,
-#: 0.72 and 0.73 ms at 160, 0.94 and 0.87 ms at 176, 14.6 and 4.5 ms at
-#: 511 and 43.0 and 11.7 ms at 767
-_BANDED_MIN_DIM = 160
 
 
 def _level_order(rows, cols, n):
@@ -270,19 +261,28 @@ def _banded_inverse(f):
     back at the end.  The cost is O(n^2 _BAND_BLOCK) flops and about 8
     numpy calls per block, against the dense LU's (8/3) n^3.
 
-    Returns None for a stack, a dimension below _BANDED_MIN_DIM, more
-    nonzeros than a block-tridiagonal F can hold, an order that leaves
-    a nonzero more than one block off the diagonal, an exactly singular
-    Schur block, and an inverse X that fails its probe:
-    ||F X v - v||_2 <= n eps ||F||_F ||X||_F ||v||_2, finite, for two
-    fixed random vectors v.  With no pivoting across blocks nothing bounds
-    the growth of a general F's elimination; the probe holds the result
-    to the residual bound that LU with partial pivoting and unit growth
-    guarantees, and the caller falls back to its dense solve otherwise.
+    X is returned only when it is certified: the probe
+    ||F X v - v||_2 <= n eps ||F||_F ||X||_F ||v||_2 holds for two fixed
+    random vectors v, and ||F||_F ||X||_F < COND_LIMIT / 100.  With no
+    pivoting across blocks nothing bounds the growth of a general F's
+    elimination, so the probe holds X to the residual that LU with
+    partial pivoting and pivot growth g meets: X is the inverse of some
+    F + E with ||E|| <= g n eps ||F||.  The second test is then the
+    package's singularity rule: ||F||_F ||X||_F >= cond(F + E), and if
+    cond(F) >= COND_LIMIT, sigma_min(F + E) <= (1 / COND_LIMIT +
+    g n eps) ||F||, which keeps cond(F + E) at least COND_LIMIT / 100
+    while g n eps < 9.9e-11 (n eps is 1.7e-13 at n = 767).  So a
+    certified F has cond(F) < COND_LIMIT, with no SVD.
+
+    Returns None for a stack, a matrix of one block (n <= _BAND_BLOCK),
+    more nonzeros than a block-tridiagonal F can hold, an order that
+    leaves a nonzero more than one block off the diagonal, an exactly
+    singular Schur block, and an X that fails either test; the caller
+    then takes ``svd_solve``, and no input gets a worse step than its LU.
     """
     n = f.shape[-1]
     block = _BAND_BLOCK
-    if f.ndim != 2 or n < _BANDED_MIN_DIM:
+    if f.ndim != 2 or n <= block:
         return None
     # nonzero of a boolean mask takes about 2/3 the time of nonzero of f
     pattern = f != 0
@@ -323,36 +323,13 @@ def _banded_inverse(f):
             work[s:s + block] -= gain @ work[s + block:s + 2 * block]
         inverse = work[where]
         del work
+        size = np.linalg.norm(f) * np.linalg.norm(inverse)
         probe = np.random.default_rng(0).standard_normal((n, 2))
         residual = np.linalg.norm(f @ (inverse @ probe) - probe, axis=0)
-        bound = (n * np.finfo(float).eps * np.linalg.norm(f)
-                 * np.linalg.norm(inverse) * np.linalg.norm(probe, axis=0))
-    if not np.all((residual <= bound) & (bound < np.inf)):
+        bound = n * np.finfo(float).eps * size * np.linalg.norm(probe, axis=0)
+    if not (np.all(residual <= bound) and size < COND_LIMIT / 100.0):
         return None
     return inverse
-
-
-def _require_regular_given(a, inverse, name):
-    """The singularity rule for ``a``, decided from a computed inverse.
-
-    ||a||_F ||inverse||_F >= cond(a): below COND_LIMIT / 100 for every
-    member, ``a`` is regular and no SVD runs.  The slack absorbs the
-    solve's backward error and a residual a inverse - I of up to
-    n eps ||a||_F (an inverse recovered from a computed right-hand side),
-    counted only while that residual is at most 1/4.  Otherwise (no
-    inverse, non-finite entries, an empty matrix) the values-only SVD
-    decides.
-    """
-    n = a.shape[-1]
-    if inverse is not None and n:
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.linalg.norm(a, axis=(-2, -1))
-            bound = size * np.linalg.norm(inverse, axis=(-2, -1))
-        if np.all((bound < COND_LIMIT / 100.0)
-                  & (size * (n * np.finfo(float).eps) <= 0.25)):
-            return
-    _require_regular(name, _condition_number(
-        np.linalg.svd(a, compute_uv=False)))
 
 
 class SvdFactor(object):
@@ -390,9 +367,10 @@ def svd_solve(a, b, name="matrix"):
 
     Returns ``(x, cond)`` with the plain cond = sigma_max / sigma_min and
     raises ValueError by the same rule as ``SvdFactor`` when ``a`` is
-    singular to working precision; callers that solve more than once
-    against the same matrix, or that treat singularity as a legitimate
-    outcome, use ``SvdFactor`` instead.
+    singular to working precision.  It is the Crank-Nicolson step's
+    fallback for every factor that ``_banded_inverse`` does not certify;
+    callers that solve more than once against the same matrix, or that
+    treat singularity as a legitimate outcome, use ``SvdFactor`` instead.
     """
     m = _square(a, name)
     rhs = as_complex_matrix(b, "right-hand side")

@@ -26,12 +26,12 @@ import numpy as np
 from .numkernel import (
     Gram,
     _banded_inverse,
-    _require_regular_given,
     _square,
     as_complex_matrix,
     dissipativity_margin,
     expm,
     op_norm,
+    svd_solve,
 )
 from .sysnode import SystemNode
 
@@ -60,48 +60,32 @@ def cn_step(a, dt):
     """One-step Crank-Nicolson matrix (I - dt/2 A)^{-1}(I + dt/2 A).
 
     For dissipative A this is a contraction for every dt > 0.  Raises
-    ValueError when F = I - dt/2 A is singular to working precision by
-    the package's one rule (cond(F) not below COND_LIMIT).
+    ValueError for a dt that is not positive and finite, and when
+    F = I - dt/2 A is singular to working precision by the package's one
+    rule (cond(F) not below COND_LIMIT).
 
-    A banded F, one matrix of dimension at least _BANDED_MIN_DIM whose
-    Cuthill-McKee order makes it block tridiagonal in blocks of 16 rows
-    (every simulate generator is), gets F^{-1} from
-    numkernel._banded_inverse and the step S = 2 F^{-1} - I.  That
-    elimination pivots only inside its blocks.  For every simulate
-    generator A = A_S H, with H the diagonal energy weight and A_S
-    dissipative, H^{1/2} F H^{-1/2} = I - dt/2 H^{1/2} A_S H^{1/2} has
-    Hermitian part at least I, and so does its renumbering; block LU of
-    such a matrix is stable with no pivoting across blocks (J. W.
+    A banded F whose inverse X numkernel._banded_inverse certifies (the
+    argument is in its docstring) gives S = 2X - I with no SVD; every
+    other F (a stack, one of at most 16 rows, a dense one or an
+    uncertified one) gets S and the rule from numkernel.svd_solve.  The
+    banded elimination pivots only inside its blocks.  For every
+    simulate generator A = A_S H, with H the diagonal energy weight and
+    A_S dissipative, H^{1/2} F H^{-1/2} = I - dt/2 H^{1/2} A_S H^{1/2}
+    has Hermitian part at least I, and so does its renumbering; block LU
+    of such a matrix is stable with no pivoting across blocks (J. W.
     Demmel, N. J. Higham and R. S. Schreiber, Numer. Linear Algebra
     Appl. 2, 1995), and the diagonal scaling by H^{1/2} only rescales
     the block LU factors of the renumbered F.  cn_step does not see H,
-    so the inverse must also pass a residual probe, ||F X v - v|| <=
-    n eps ||F||_F ||X||_F ||v|| on two fixed vectors, the bound LU with
-    partial pivoting and unit growth meets; one that fails it, and every
-    other F (a stack, a smaller or a dense one), takes the dense LU
-    below, so no input gets a worse step than that solve.  S itself is
+    which is why the inverse must pass its residual probe.  S itself is
     dense either way: a banded solve per step would cost the stepping
     loop some n/2 numpy calls where one product costs one.
-
-    The LU solve of F X = I + dt/2 A = 2I - F gives F^{-1} = (X + I)/2
-    for free.  Either way ||F||_F ||F^{-1}||_F, an upper bound on
-    cond(F) = ||F||_2 ||F^{-1}||_2, decides the rule with no SVD when it
-    is below COND_LIMIT / 100.  That is sound: the LU solve is backward
-    stable, so the bound is at least the cond of some F + E with
-    ||E|| <= g n eps ||F|| (g the pivot growth), and when
-    cond(F) >= COND_LIMIT, sigma_min(F + E) <= (1 / COND_LIMIT +
-    g n eps) ||F||, which keeps that cond above COND_LIMIT / 100 while
-    g n eps < 9.9e-11 (n eps is 1.7e-13 at n = 767); the probe holds the
-    banded inverse to the same residual.  Otherwise, and when the LU
-    fails, the values-only SVD of F decides
-    (numkernel._require_regular_given).  For dissipative A,
-    ||F^{-1}||_2 <= 1, so the bound decides unless
-    n (1 + dt/2 ||A||_2) nears 1e10.
     """
     m = _square(a, "A")
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)
+    if not np.isfinite(dt):
+        raise ValueError("dt must be finite, got %r" % dt)
     name = "I - (dt/2) A"
     ident = np.eye(m.shape[-1], dtype=m.dtype)
     # an overflowing dt/2 A is refused by name below, not warned about
@@ -109,22 +93,12 @@ def cn_step(a, dt):
         factor = ident - (dt / 2.0) * m
     factor = as_complex_matrix(factor, name)
     inverse = _banded_inverse(factor)
-    if inverse is not None:
-        _require_regular_given(factor, inverse, name)
-        # S = 2 F^{-1} - I, in the inverse's own buffer
-        inverse *= 2.0
-        inverse -= ident
-        return inverse
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = ident + (dt / 2.0) * m
-    try:
-        # the solve replaces its right-hand side I + dt/2 A, which is freed
-        step = np.linalg.solve(factor, step)
-    except np.linalg.LinAlgError:
-        _require_regular_given(factor, None, name)
-        raise
-    _require_regular_given(factor, (step + ident) / 2.0, name)
-    return step
+    if inverse is None:
+        return svd_solve(factor, ident + (dt / 2.0) * m, name)[0]
+    # S = 2 F^{-1} - I, in the inverse's own buffer
+    inverse *= 2.0
+    inverse -= ident
+    return inverse
 
 
 Trajectory = namedtuple("Trajectory", ["times", "energy"])

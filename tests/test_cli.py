@@ -35,7 +35,7 @@ from semilab.cli import (
     _simulate_setup,
     main,
 )
-from semilab.numkernel import _BANDED_MIN_DIM, Gram
+from semilab.numkernel import _BAND_BLOCK, Gram
 from semilab.pdelab import Grid1D
 from semilab.simkit import _LEDGER_BLOCK, IoMapEstimate, Trajectory
 
@@ -254,6 +254,11 @@ def test_pyproject_names_the_package():
     assert project["name"] == "semilab"
     assert project["version"] == semilab.__version__
     assert project["scripts"]["semilab"] == "semilab.cli:main"
+    # ndarray.mT, used for every Hermitian part, came with NumPy 2.0
+    (numpy,) = [dep for dep in project["dependencies"]
+                if dep.startswith("numpy")]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
 
 
 class TestRunVerify:
@@ -334,12 +339,12 @@ class TestRunSimulate:
                                             "combined", "wave_heat"])
     def test_energy_matches_the_exact_sine_mode(self, experiment, n,
                                                 banded_results):
-        """A CN run of dim 2n - 1 >= _BANDED_MIN_DIM (n = 256) takes the
-        banded step; wave_heat steps by expm."""
+        """A CN run of dim 2n - 1 > _BAND_BLOCK (n = 16, 64, 256) takes
+        the banded step; wave_heat steps by expm."""
         text = "experiment = %s\nn = %d\n" % (experiment, n)
         assert self.sine_mode_gap(text, experiment, n) <= 1e-11
         assert banded_results == ([] if experiment == "wave_heat" else
-                                  [2 * n - 1 >= _BANDED_MIN_DIM])
+                                  [2 * n - 1 > _BAND_BLOCK])
 
     @pytest.mark.parametrize("experiment", ["viscous", "structural",
                                             "combined", "wave_heat"])
@@ -347,8 +352,10 @@ class TestRunSimulate:
         """40,000 steps at dim 31 run in chunks of 16 (simulate_semigroup).
 
         The worst gap measured was 7.0e-13 (wave_heat, expm), against
-        6.2e-14 with one product per step; the other three were at most
-        6.7e-15 either way.
+        6.2e-14 with one product per step.  The three Crank-Nicolson runs
+        take the banded step at dim 31: viscous 3.8e-14, structural
+        4.1e-15 and combined 2.9e-15, against at most 6.7e-15 on the
+        dense LU step.
         """
         text = "experiment = %s\nn = 16\nT = 200\ndt = 0.005\n" % experiment
         assert self.sine_mode_gap(text, experiment, 16) <= 1e-11

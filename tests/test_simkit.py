@@ -97,6 +97,18 @@ class TestCnStep:
         with pytest.raises(ValueError):
             cn_step(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("dt, message", [
+        (float("nan"), "dt must be finite, got nan"),
+        (float("inf"), "dt must be finite, got inf"),
+        (-float("inf"), "dt must be positive, got -inf"),
+        (-1.0, "dt must be positive, got -1")])
+    def test_names_a_bad_dt(self, dt, message):
+        # refused by dt before I - dt/2 A is formed, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                cn_step(-np.eye(2), dt)
+
     @pytest.mark.parametrize("a", [[[1e300]], [[1e300 + 1e300j]]])
     def test_overflowing_step_raises_only_the_named_error(self, a):
         # dt/2 A overflows: the named refusal, and no numpy warning first
@@ -112,14 +124,20 @@ class TestCnStep:
             cn_step(np.zeros((2, 3)), 0.1)
 
     def test_dissipative_generator_needs_no_svd(self, rng, svd_calls):
-        # ||F^{-1}||_2 <= 1 for F = I - dt/2 A: the inverse bound decides
-        a = random_dissipative(rng, 6)
+        # a banded F certifies its own inverse; a dense one takes
+        # svd_solve, whose one values-only SVD decides the rule
+        banded = simulate_generator("viscous", 32)[0]
+        dense = random_dissipative(rng, 6)
         for dt in (1e-3, 0.5, 1e3):
-            cn_step(a, dt)
+            cn_step(banded, dt)
         assert svd_calls == []
+        for dt in (1e-3, 0.5, 1e3):
+            cn_step(dense, dt)
+        assert svd_calls == [{"compute_uv": False}] * 3
 
     def test_inconclusive_bound_falls_back_to_one_svd(self, svd_calls):
-        # cond(F) = 1e11 lies between COND_LIMIT / 100 and COND_LIMIT
+        # cond(F) = 1e11 lies between COND_LIMIT / 100 and COND_LIMIT; a
+        # 2-row F takes svd_solve, with its one SVD and its bits
         a = np.eye(2) - np.diag([1.0, 1e-11])
         step = cn_step(a, 2.0)
         assert svd_calls == [{"compute_uv": False}]
@@ -171,11 +189,11 @@ def cn_step_against_svd_solve(a, svd_calls):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 class TestCnStepSingularityOracle:
-    """The inverse bound decides the singularity rule as the values-only
-    SVD does; only an inconclusive bound runs that SVD."""
+    """A factor of at most 16 rows takes svd_solve: its bits, its
+    refusal and its one values-only SVD."""
 
     @pytest.mark.parametrize("cond, singular, svds", [
-        (1e0, False, 0), (1e8, False, 0), (1e10, False, 1),
+        (1e0, False, 1), (1e8, False, 1), (1e10, False, 1),
         (1e11, False, 1), (1e12 * (1 - 1e-3), False, 1),
         (1e12 * (1 + 1e-3), True, 1), (1e14, True, 1)])
     def test_condition_ladder(self, rng, svd_calls, dtype, cond, singular,
@@ -199,8 +217,8 @@ class TestCnStepSingularityOracle:
 
     def test_scale_that_hides_the_identity(self, svd_calls, dtype):
         # F = diag(2^100, 2^60) has cond 2^40 > COND_LIMIT, but I is lost
-        # in I -+ A: the LU step is exactly -I and (X + I)/2 = 0, so only
-        # the scale guard keeps the zero bound from certifying F
+        # in I -+ A: the LU step is exactly -I, so only F's singular values
+        # can refuse it
         a = np.diag([1.0 - 2.0 ** 100, 1.0 - 2.0 ** 60]).astype(dtype)
         message, ran = cn_step_against_svd_solve(a, svd_calls)
         assert message == ("I - (dt/2) A is singular to working precision "
@@ -230,9 +248,17 @@ def simulate_generator(experiment, n):
 
 
 def dense_cn_step(a, dt):
-    """Oracle: the dense LU step, written out as cn_step's fallback."""
+    """Oracle: the dense LU step, the solve of cn_step's svd_solve fallback."""
     ident = np.eye(a.shape[-1], dtype=a.dtype)
     return np.linalg.solve(ident - (dt / 2.0) * a, ident + (dt / 2.0) * a)
+
+
+def path_laplacian(n):
+    """The Neumann path Laplacian: banded, symmetric and singular (L 1 = 0),
+    with largest eigenvalue about 4."""
+    f = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    f[0, 0] = f[-1, -1] = 1.0
+    return f
 
 
 def complex_banded_generator(rng, n):
@@ -245,30 +271,35 @@ def complex_banded_generator(rng, n):
     return a[np.ix_(order, order)]
 
 
-# dims 191 (the waves) and 160 (degenerate), at or above _BANDED_MIN_DIM
+# dims 191 (the waves) and 160 (degenerate)
 CN_EXPERIMENTS = [("viscous", 96), ("structural", 96), ("combined", 96),
                   ("degenerate", 160)]
 
 
 class TestBandedCnStep:
     """cn_step of a banded generator takes numkernel._banded_inverse and
-    agrees with the dense LU step; every other input keeps its bits."""
+    agrees with the dense LU step; every other input keeps the bits of
+    svd_solve, which are the dense LU step's."""
 
     @pytest.mark.parametrize("case", [c[0] for c in CN_EXPERIMENTS]
-                             + ["complex", "wide_dt"])
-    def test_matches_the_dense_lu_step(self, rng, banded_results, case):
-        """Every CN experiment's generator above the crossover takes the
-        banded step (the recorded call), within N eps ||S||_F of the
-        dense one."""
+                             + ["complex", "wide_dt", "two_blocks"])
+    def test_matches_the_dense_lu_step(self, rng, svd_calls, banded_results,
+                                       case):
+        """Every CN experiment's generator, and the smallest one of two
+        blocks (dim 17), takes the banded step (the recorded call) with no
+        SVD, within N eps ||S||_F of the dense one."""
         if case == "complex":
             a, dt = complex_banded_generator(rng, 180), 0.1
         elif case == "wide_dt":
             a, dt = simulate_generator("combined", 96)[0], 10.0
+        elif case == "two_blocks":
+            a, dt = simulate_generator("degenerate", 17)
         else:
             a, dt = simulate_generator(case, dict(CN_EXPERIMENTS)[case])
         step = cn_step(a, dt)
+        assert banded_results == [True] and svd_calls == []
         want = dense_cn_step(a, dt)
-        assert banded_results == [True] and step.dtype == want.dtype
+        assert step.dtype == want.dtype
         gap = np.linalg.norm(step - want)
         assert gap <= len(a) * np.finfo(float).eps * np.linalg.norm(want)
 
@@ -281,7 +312,8 @@ class TestBandedCnStep:
             m = rng.standard_normal((180, 180))
             a = m - m.T - np.eye(180)
         else:
-            a = simulate_generator("viscous", 64)[0]
+            # one block of 16 rows
+            a = simulate_generator("degenerate", 16)[0]
         step = cn_step(a, 0.01)
         assert step.tobytes() == dense_cn_step(a, 0.01).tobytes()
         assert banded_results == [False]
@@ -292,8 +324,7 @@ class TestBandedCnStep:
         # F = I - A is the path Laplacian, singular (F 1 = 0) and banded,
         # or F = 0, with no nonzero to order
         n = 200
-        f = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        f[0, 0] = f[-1, -1] = 1.0
+        f = path_laplacian(n)
         if case == "zero":
             f[:] = 0.0
         with warnings.catch_warnings():
@@ -301,6 +332,24 @@ class TestBandedCnStep:
             message, _ = cn_step_against_svd_solve(np.eye(n) - f, svd_calls)
         assert message.startswith("I - (dt/2) A is singular to working "
                                   "precision (cond=")
+        assert banded_results == [False]
+
+    @pytest.mark.parametrize("shift, singular", [(1e-11, False),
+                                                 (1e-14, True)])
+    def test_uncertified_banded_factor_takes_svd_solve(
+            self, svd_calls, banded_results, shift, singular):
+        # F = L + shift I has cond about 4 / shift: the probe passes, but
+        # ||F||_F ||X||_F >= cond(F) > COND_LIMIT / 100 leaves the rule to
+        # svd_solve, which keeps F at 4e11 and refuses it at 4e14
+        n = 200
+        a = np.eye(n) - (path_laplacian(n) + shift * np.eye(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message, ran = cn_step_against_svd_solve(a, svd_calls)
+        assert (message is not None) == singular and ran == 1
+        if singular:
+            assert message.startswith("I - (dt/2) A is singular to working "
+                                      "precision (cond=")
         assert banded_results == [False]
 
     @pytest.mark.parametrize("pivot, banded", [(1e-14, False), (1.0, True)])
