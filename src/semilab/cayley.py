@@ -44,6 +44,9 @@ class AccretiveOperator(object):
 
     def __init__(self, matrix):
         m = _square(matrix, "accretive operator")
+        if not m.shape[-1]:
+            raise ValueError("accretive operator is empty, got shape %s"
+                             % (m.shape,))
         lam = _herm_eigvalsh(m, "accretive operator")[..., 0]
         negative = lam < 0.0
         if negative.any():

@@ -275,10 +275,11 @@ def _banded_inverse(f):
     certified F has cond(F) < COND_LIMIT, with no SVD.
 
     Returns None for a stack, a matrix of one block (n <= _BAND_BLOCK),
-    more nonzeros than a block-tridiagonal F can hold, an order that
-    leaves a nonzero more than one block off the diagonal, an exactly
-    singular Schur block, and an X that fails either test; the caller
-    then takes ``svd_solve``, and no input gets a worse step than its LU.
+    more nonzeros than a block-tridiagonal F can hold, an exactly
+    singular Schur block, and an X that fails either test (the
+    elimination reads only the band, so the probe also refuses an order
+    that leaves a nonzero outside it); the caller then takes
+    ``svd_solve``, and no input gets a worse step than its LU.
     """
     n = f.shape[-1]
     block = _BAND_BLOCK
@@ -293,8 +294,6 @@ def _banded_inverse(f):
     order = _level_order(rows, cols, n)
     where = np.empty(n, dtype=np.intp)
     where[order] = np.arange(n)
-    if np.abs(where[rows] // block - where[cols] // block).max(initial=0) > 1:
-        return None
     # rows of P, the renumbering (P F P^T)[i, j] = F[order[i], order[j]],
     # become those of (P F P^T)^{-1} P = P F^{-1}
     work = np.zeros((n, n), f.dtype)
@@ -428,9 +427,11 @@ def dissipativity_margin(a):
     for all x) iff the result is <= 0.  A generator G = A H with a Gram H
     needs no weighted margin: Re <HGx, x> = Re <Ay, y> with y = Hx, so G
     is dissipative in the H inner product iff A is plainly dissipative.
+    An empty matrix has margin -inf, the max over no eigenvalues.
     """
     m = _square(a)
-    return _per_member(_herm_eigvalsh(m, "matrix")[..., -1], m)
+    return _per_member(
+        _herm_eigvalsh(m, "matrix").max(axis=-1, initial=-np.inf), m)
 
 
 # Numerator coefficients of the diagonal (13, 13) Pade approximant

@@ -180,6 +180,8 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     m = as_complex_matrix(a, "A")
     if m.ndim != 2:
         raise ValueError("A must be one matrix, got shape %s" % (m.shape,))
+    if not len(m):
+        raise ValueError("A has no rows, got shape %s" % (m.shape,))
     if x0 is None:
         raise ValueError("x0 is required")
     x = np.asarray(x0).reshape(-1)
@@ -303,8 +305,7 @@ def _toeplitz_blocks(node, T, nsteps):
                          "the step is below the smallest normal double"
                          % (T, nsteps))
     e_step, theta, psi = _quadrature_matrices(node.a, dt)
-    # a node with no state has the map D, with no margin and no step
-    margin = dissipativity_margin(node.a) if len(node.a) else 0.0
+    margin = dissipativity_margin(node.a)
     with np.errstate(over="ignore"):
         growth = np.exp(max(margin, 0.0) * dt)
     if op_norm(e_step) > growth * (1.0 + 1e-8):

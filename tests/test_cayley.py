@@ -59,6 +59,13 @@ class TestWrappers:
                            "non-finite Hermitian part$" % prefix):
             AccretiveOperator(matrix)
 
+    @pytest.mark.parametrize("build", [AccretiveOperator,
+                                       cayley_of_accretive])
+    def test_empty_accretive_operator_refused(self, build):
+        with pytest.raises(ValueError, match=r"^accretive operator is empty, "
+                           r"got shape \(0, 0\)$"):
+            build(np.zeros((0, 0)))
+
     def test_skew_is_accretive_with_zero_delta(self):
         s = AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert s.delta == 0.0

@@ -3,6 +3,7 @@ import errno
 import importlib.util
 import io
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -259,6 +260,20 @@ def test_pyproject_names_the_package():
                 if dep.startswith("numpy")]
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy)
     assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
+def test_package_republishes_each_module_list():
+    # each module's __all__ is the one list of its public names; every
+    # module but the command line is republished, in name order
+    found = sorted(i.name for i in pkgutil.iter_modules(semilab.__path__))
+    modules = [importlib.import_module("semilab." + name)
+               for name in found if name != "cli"]
+    names = [name for module in modules for name in module.__all__]
+    assert semilab.__all__ == names + ["__version__"]
+    assert len(set(semilab.__all__)) == len(semilab.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(semilab, name) is getattr(module, name)
 
 
 class TestRunVerify:

@@ -585,6 +585,12 @@ class TestDissipativityMargin:
                                              "Hermitian part$" % prefix):
             dissipativity_margin(a)
 
+    def test_empty_matrix_margin_is_minus_inf(self):
+        # the max over no eigenvalues, one per member of a stack
+        assert dissipativity_margin(np.zeros((0, 0))) == -np.inf
+        assert dissipativity_margin(np.zeros((2, 0, 0))).tolist() == \
+            [-np.inf, -np.inf]
+
     def test_skew_hermitian_margin_zero(self, rng):
         m = random_matrix(rng, 6)
         skew = (m - m.conj().T) / 2.0

@@ -303,7 +303,7 @@ class TestBandedCnStep:
         gap = np.linalg.norm(step - want)
         assert gap <= len(a) * np.finfo(float).eps * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("case", ["stack", "dense", "small"])
+    @pytest.mark.parametrize("case", ["stack", "dense", "small", "star"])
     def test_other_inputs_keep_the_dense_bits(self, rng, banded_results,
                                               case):
         if case == "stack":
@@ -311,6 +311,14 @@ class TestBandedCnStep:
         elif case == "dense":
             m = rng.standard_normal((180, 180))
             a = m - m.T - np.eye(180)
+        elif case == "star":
+            # F = f, 598 nonzeros (under the dense-pattern guard), whose
+            # Cuthill-McKee order leaves a nonzero 12 blocks off the
+            # diagonal: the elimination reads only the band, so the probe
+            # refuses its X
+            f = 4.0 * np.eye(200)
+            f[0, 1:] = f[1:, 0] = 0.01
+            a = (np.eye(200) - f) / 0.005
         else:
             # one block of 16 rows
             a = simulate_generator("degenerate", 16)[0]
@@ -622,6 +630,11 @@ class TestSimulateSemigroup:
         with pytest.raises(ValueError, match=r"^A must be one matrix, got "
                            r"shape \(2, 2, 2\)$"):
             simulate_semigroup(-np.stack([np.eye(2)] * 2), x0=[1.0, 0.0])
+
+    def test_generator_without_rows_refused(self):
+        with pytest.raises(ValueError, match=r"^A has no rows, got shape "
+                           r"\(0, 0\)$"):
+            simulate_semigroup(np.zeros((0, 0)), x0=[], T=0.2, dt=0.1)
 
     @pytest.mark.parametrize("T, dt, name", [
         (np.inf, 1.0, "T"), (np.nan, 1.0, "T"),
