@@ -72,6 +72,9 @@ class ContractionOperator(object):
 
     def __init__(self, matrix):
         m = _square(matrix, "contraction operator")
+        if not m.shape[-1]:
+            raise ValueError("contraction operator is empty, got shape %s"
+                             % (m.shape,))
         nrm = op_norm(m)
         _refuse(nrm > 1.0 + 1e-12, "matrix is not a contraction: norm %.17g",
                 nrm)

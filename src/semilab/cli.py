@@ -148,7 +148,7 @@ _KEYS = (
     ("experiment", str, None, _one_of(EXPERIMENTS)),
     ("n", int, 32, _closed(2, 4096)),
     ("dt", float, 1e-2, _POSITIVE),
-    ("T", float, 1.0, None),
+    ("T", float, 1.0, _POSITIVE),
     ("seed", int, 0, _NONNEGATIVE),
     ("tol", float, 1e-9, _POSITIVE),
     ("alpha_exp", float, 0.5, _rule(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
@@ -214,7 +214,8 @@ class ExperimentConfig(object):
                                  % (key, value))
             if rule is not None:
                 rule(key, value)
-            if key == "T" and not value >= self.dt:
+            if key == "T" and self.experiment in _COMMANDS["simulate"] \
+                    and not value >= self.dt:
                 raise ValueError("T must be at least dt, got T = %s, dt = %s"
                                  % (value, self.dt))
             setattr(self, key, kind(value))

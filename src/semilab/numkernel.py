@@ -149,22 +149,13 @@ def _matmul(a, b):
     return a @ b
 
 
-#: real and imaginary parts up to this size cannot overflow in m + m*
-_HALF_MAX = np.finfo(np.float64).max / 2.0
-
-
 def _hermitian(m, name):
     """(m + m*)/2 of a matrix or a stack, or of a diagonal given as a
-    vector; a ValueError naming ``name`` refuses a non-finite result, so
-    an overflow is neither accepted nor left to a LAPACK failure.  One
-    reduction over the parts of a contiguous m clears the common case:
-    finite parts at most half the float range have a finite sum, with
-    no warning to silence and no result to check.
+    vector, formed with overflow warnings silenced; a ValueError naming
+    ``name`` refuses a non-finite result, so an overflow is neither
+    accepted nor left to a LAPACK failure.
     """
     mh = m.conj() if m.ndim == 1 else m.conj().mT
-    if m.strides[-1] == m.itemsize and \
-            np.abs(m.view(np.float64)).max(initial=0.0) <= _HALF_MAX:
-        return (m + mh) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         h = (m + mh) / 2.0
     if not np.isfinite(h).all():
@@ -461,9 +452,9 @@ def expm(a, t=1.0):
     the tests check agreement with scipy.linalg.expm within 1e-12
     relative up to ||At||_1 = 40 theta_13 (six squarings).  The rounding
     errors of the squarings grow with s, and an overflow of At or of a
-    squaring raises OverflowError, with no numpy warning.  Each
-    member of a stack gets its own number of squarings; a zero matrix,
-    and any matrix at t = 0, gives the identity exactly.
+    squaring raises OverflowError, with no numpy warning.  Stack members
+    get their own s, all squared by one masked product (a 0-d mask for one
+    matrix); a zero A, and any A at t = 0, gives the identity exactly.
 
     Parameters
     ----------
@@ -486,8 +477,7 @@ def expm(a, t=1.0):
     squarings = np.array(
         [math.ceil(math.log2(v / _EXPM_THETA)) if v > _EXPM_THETA else 0
          for v in nrm.ravel().tolist()], dtype=int).reshape(nrm.shape)
-    if squarings.any():
-        m = m / np.ldexp(1.0, squarings)[..., None, None]
+    m = m / np.ldexp(1.0, squarings)[..., None, None]
 
     b = _PADE13
     ident = np.eye(n, dtype=m.dtype)
@@ -502,10 +492,7 @@ def expm(a, t=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(squarings.max(initial=0)):
             live = squarings > k
-            if live.all():
-                x = x @ x
-            else:
-                x[live] = x[live] @ x[live]
+            x[live] = x[live] @ x[live]
     if not np.isfinite(x).all():
         _refuse(~np.isfinite(x).all(axis=(-2, -1)),
                 "matrix exponential overflowed", kind=OverflowError)

@@ -60,9 +60,9 @@ def cn_step(a, dt):
     """One-step Crank-Nicolson matrix (I - dt/2 A)^{-1}(I + dt/2 A).
 
     For dissipative A this is a contraction for every dt > 0.  Raises
-    ValueError for a dt that is not positive and finite, and when
-    F = I - dt/2 A is singular to working precision by the package's one
-    rule (cond(F) not below COND_LIMIT).
+    ValueError for an A with no rows, a dt that is not positive and
+    finite, and an F = I - dt/2 A singular to working precision by the
+    package's one rule (cond(F) not below COND_LIMIT).
 
     A banded F whose inverse X numkernel._banded_inverse certifies (the
     argument is in its docstring) gives S = 2X - I with no SVD; every
@@ -81,6 +81,8 @@ def cn_step(a, dt):
     loop some n/2 numpy calls where one product costs one.
     """
     m = _square(a, "A")
+    if not m.shape[-1]:
+        raise ValueError("A has no rows, got shape %s" % (m.shape,))
     dt = float(dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive, got %g" % dt)
@@ -139,7 +141,8 @@ def _steps_of(T, dt):
     if T < dt:
         raise ValueError("T must be at least dt")
     nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
+    # relative at every T: nsteps * dt rounds by a few eps T
+    if abs(nsteps * dt - T) > 1e-9 * T:
         raise ValueError("dt = %g does not divide T = %g" % (dt, T))
     return nsteps
 
@@ -153,9 +156,9 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
     dtype numpy promotes the one-step matrix and x0 to: float64 for a
     real generator and start, complex128 otherwise.  Each block of
     _LEDGER_BLOCK states is reduced to its energies before the next one
-    overwrites it; the states are not kept.  Each energy, |x|^2 or
-    Re(x^* H x) clipped at zero, is nonnegative; for A dissipative in
-    the supplied inner product it is nonincreasing up to roundoff.
+    overwrites it; the states are not kept.  Each energy, Gram.squared_norms
+    (H = I for gram None), is nonnegative and, for A dissipative in the H
+    inner product, nonincreasing up to roundoff.
 
     A run of nsteps >= 16 dim steps views each block as chunks of
     b = _CHUNK = 16 steps.  Q = S^b - I comes from Q = S - I by four
@@ -190,11 +193,11 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
                          % (x.shape[0], m.shape[0]))
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    if gram is not None:
-        gram = gram if isinstance(gram, Gram) else Gram(gram)
-        if len(gram.matrix) != m.shape[0]:
-            raise ValueError("operator dimension %d does not match gram "
-                             "dimension %d" % (m.shape[0], len(gram.matrix)))
+    if not isinstance(gram, Gram):
+        gram = Gram(np.eye(m.shape[0]) if gram is None else gram)
+    if len(gram.matrix) != m.shape[0]:
+        raise ValueError("operator dimension %d does not match gram "
+                         "dimension %d" % (m.shape[0], len(gram.matrix)))
     nsteps = _steps_of(T, dt)
     if stepper == "expm":
         try:
@@ -248,11 +251,7 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
             for j in range(1, chunk):
                 held = -(-(len(rows) - j) // chunk)
                 np.matmul(chunks[:held, j - 1], step.T, out=chunks[:held, j])
-            if gram is None:
-                energy[start:stop] = np.einsum("ij,ij->i", rows.conj(),
-                                               rows).real
-            else:
-                energy[start:stop] = gram.squared_norms(rows)
+            energy[start:stop] = gram.squared_norms(rows)
         if not np.isfinite(energy[start:stop]).all():
             raise OverflowError("the states overflowed before T = %r"
                                 % float(T))

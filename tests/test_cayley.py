@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,15 @@ class TestWrappers:
         with pytest.raises(ValueError, match=r"^accretive operator is empty, "
                            r"got shape \(0, 0\)$"):
             build(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("build", [ContractionOperator,
+                                       accretive_of_contraction,
+                                       accretivity_lower_bound, s_norm_bound])
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_contraction_operator_refused(self, build, shape):
+        with pytest.raises(ValueError, match=r"^contraction operator is "
+                           r"empty, got shape %s$" % re.escape(str(shape))):
+            build(np.zeros(shape))
 
     def test_skew_is_accretive_with_zero_delta(self):
         s = AccretiveOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]))

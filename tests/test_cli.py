@@ -122,6 +122,23 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="missing required key"):
             parse_config("n = 8\n")
 
+    def test_verify_horizon_below_dt_accepted(self):
+        # only simulate steps by dt
+        config = parse_config("experiment = verify_random\nT = 0.005\n")
+        assert (config.T, config.dt) == (0.005, 0.01)
+
+    def test_simulate_horizon_below_dt_refused(self):
+        with pytest.raises(ValueError, match=r"^T must be at least dt, got "
+                           r"T = 0\.005, dt = 0\.01$"):
+            parse_config("experiment = viscous\nT = 0.005\n")
+
+    @pytest.mark.parametrize("experiment", ["verify_random", "viscous",
+                                            "ionorm"])
+    def test_horizon_must_be_positive(self, experiment):
+        with pytest.raises(ValueError, match=r"^T must be positive, got "
+                           r"-1\.0$"):
+            parse_config("experiment = %s\nT = -1\n" % experiment)
+
     def test_experiment_vocabulary(self):
         with pytest.raises(ValueError, match="experiment must be one of"):
             parse_config("experiment = schroedinger\n")
@@ -246,6 +263,25 @@ class TestKeyTable:
         stats = load_perfbench("tracer").Tracer().stats
         names = run.LAYER_FUNCS + run.COUNTED_FUNCS
         assert [name for name in names if name not in stats] == []
+
+
+@pytest.mark.parametrize("workload", load_perfbench("workloads").WORKLOADS)
+def test_benchmark_oracles_pass(tmp_path, monkeypatch, capsys, workload):
+    # every invocation of the benchmark's workload at seed 0, run in this
+    # process and judged by the benchmark's own oracles
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load_perfbench("run")
+    invocations = run.workloads.build(workload, 0)
+    specs = run.write_inputs(invocations, str(tmp_path))
+    for inv, spec in zip(invocations, specs):
+        capsys.readouterr()
+        rc = main([spec["command"], spec["config"], "--out", spec["out"]])
+        assert rc == inv.expect_rc, inv.name
+        with open(os.path.join(spec["out"], "report.txt"),
+                  encoding="utf-8") as handle:
+            assert handle.read() == capsys.readouterr().out, inv.name
+        problems, _ = run.check_outputs(inv, spec)
+        assert problems == [], inv.name
 
 
 def test_pyproject_names_the_package():
@@ -695,6 +731,20 @@ class TestMain:
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
 
+    def test_ionorm_horizon_below_dt_runs(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = integrator\n"
+                      "T = 0.005\n")
+        assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_dt_must_divide_a_tiny_horizon(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "experiment = viscous\nn = 8\nT = 1e-10\n"
+                      "dt = 3e-11\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dt = 3e-11 does not divide T = 1e-10\n")
+
     def test_ionorm_takes_a_long_horizon(self, tmp_path):
         # ionorm does not step with dt, so the simulate budget leaves it be
         cfg = self.write_config(
@@ -808,7 +858,7 @@ class TestMain:
         # step below the smallest normal double
         cfg = self.write_config(
             tmp_path, "experiment = ionorm\nfixture = %s\nn = 4\n"
-                      "nsteps = %d\nT = 1e-310\ndt = 1e-310\n"
+                      "nsteps = %d\nT = 1e-310\n"
                       % (fixture, nsteps))
         rc = main(["ionorm", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -123,6 +123,12 @@ class TestCnStep:
                            match=r"^A must be square, got shape \(2, 3\)$"):
             cn_step(np.zeros((2, 3)), 0.1)
 
+    def test_rejects_generator_without_rows(self):
+        # refused by name before the factor I - dt/2 A is formed
+        with pytest.raises(ValueError,
+                           match=r"^A has no rows, got shape \(0, 0\)$"):
+            cn_step(np.zeros((0, 0)), 0.1)
+
     def test_dissipative_generator_needs_no_svd(self, rng, svd_calls):
         # a banded F certifies its own inverse; a dense one takes
         # svd_solve, whose one values-only SVD decides the rule
@@ -646,6 +652,18 @@ class TestSimulateSemigroup:
     def test_dt_must_divide(self):
         with pytest.raises(ValueError):
             simulate_semigroup(np.zeros((2, 2)), x0=[1.0, 0.0], T=1.0, dt=0.3)
+
+    def test_dt_must_divide_a_tiny_horizon(self):
+        # three steps stop at t = 9e-11, 10% short of T
+        with pytest.raises(ValueError, match=r"^dt = 3e-11 does not divide "
+                           r"T = 1e-10$"):
+            simulate_semigroup(-np.eye(2), x0=[1.0, 0.0], T=1e-10, dt=3e-11)
+
+    def test_tiny_horizon_ends_at_t(self):
+        tr = simulate_semigroup(-np.eye(2), x0=[1.0, 0.0], T=1e-10,
+                                dt=2.5e-11)
+        assert len(tr.times) == 5
+        assert tr.times[-1] == 1e-10
 
     def test_unknown_stepper(self):
         with pytest.raises(ValueError):
