@@ -7,15 +7,15 @@ promotion makes a result complex128 only when an operand is, with
 accretivity, passivity and positive-definiteness verdict reads one
 Hermitian-part rule: ``_hermitian`` forms (X + X*)/2, refusing a
 non-finite one by name, and ``_herm_eigvalsh`` makes the package's one
-eigensolver call.  A matrix whose off-diagonal entries are all exactly
-zero (``_exact_diagonal`` alone decides it) keeps its dense carrier, but
-its Hermitian eigenvalues and products come from the diagonal, with the
-dense operation's values; every other matrix takes the dense path.  This
-module provides the shared plumbing: dissipativity margins, operator
-norms, a matrix exponential (Higham's 2005 degree-13 scaling and
-squaring, with theta_13 = 5.37), contraction certificates, SVD solves,
-and ``Gram``, a validated energy weight whose one use is the weighted
-norms of a trajectory.
+eigensolver call.  A real matrix whose off-diagonal entries are all
+exactly zero (``_exact_diagonal`` alone decides it) keeps its dense
+carrier, but its Hermitian eigenvalues and products come from the
+diagonal, with the dense operation's values; every other matrix takes
+the dense path.  This module provides the shared plumbing: dissipativity
+margins, operator norms, a matrix exponential (Higham's 2005 degree-13
+scaling and squaring, with theta_13 = 5.37), contraction certificates,
+SVD solves, and ``Gram``, a validated energy weight whose one use is the
+weighted norms of a trajectory.
 
 The primitives take one matrix or a stack of shape (..., n, n) through
 the same code: a stack gives one value per member (an array over the
@@ -115,19 +115,15 @@ def _square(a, name="matrix"):
 
 
 def _exact_diagonal(m):
-    """The diagonal of one nonempty square matrix whose off-diagonal
+    """The diagonal of one nonempty real square matrix whose off-diagonal
     entries are all exactly zero; None for anything else (a stack, a
-    non-square matrix, or a single nonzero off-diagonal entry, however
-    tiny).  The one diagonality decision of the package.
+    complex or non-square matrix, or a single nonzero off-diagonal entry,
+    however tiny).  The one diagonality decision of the package.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+    if np.iscomplexobj(m) or m.ndim != 2 or not 0 < len(m) == m.shape[1]:
         return None
     d = m.diagonal()
     return d if np.count_nonzero(m) == np.count_nonzero(d) else None
-
-
-def _scales_exactly(d, other):
-    return not (np.iscomplexobj(other) and d.imag.any())
 
 
 def _matmul(a, b):
@@ -135,16 +131,14 @@ def _matmul(a, b):
     exact diagonal.
 
     The scaling gives the product's values (only the sign of a zero may
-    differ, since the product adds exact zeros to each scaled entry).  A
-    complex matrix product fuses the real and imaginary partial
-    products, so a diagonal with a nonzero imaginary part keeps the
-    dense product when the other operand is complex too.
+    differ, since the product adds exact zeros to each scaled entry); a
+    real diagonal scales a complex operand exactly too.
     """
     d = _exact_diagonal(a)
-    if d is not None and b.shape[-2:-1] == d.shape and _scales_exactly(d, b):
+    if d is not None and b.shape[-2:-1] == d.shape:
         return d[:, None] * b
     d = _exact_diagonal(b)
-    if d is not None and a.shape[-1:] == d.shape and _scales_exactly(d, a):
+    if d is not None and a.shape[-1:] == d.shape:
         return a * d
     return a @ b
 
@@ -166,13 +160,13 @@ def _hermitian(m, name):
 
 def _herm_eigvalsh(m, name):
     """Ascending eigenvalues of ``_hermitian(m, name)``, per member; for
-    an exact diagonal, its sorted real parts with no eigensolver (the
+    an exact diagonal, its sorted entries with no eigensolver (the
     dense bits while LAPACK does not rescale, largest entry about 1e-146
     to 1e146, and the exact values outside).
     """
     d = _exact_diagonal(m)
     if d is not None:
-        return np.sort(_hermitian(d, name).real)
+        return np.sort(_hermitian(d, name))
     return np.linalg.eigvalsh(_hermitian(m, name))
 
 
@@ -399,7 +393,7 @@ class Gram(object):
         """Re(x^* H x), clipped at zero, for every row x of a 2-D array.
 
         One ``rows @ H.T`` product serves all rows, in the dtype numpy
-        promotes the rows and H to; a diagonal H scales the rows instead.
+        promotes the rows and H to; a real diagonal H scales the rows instead.
         """
         x = np.asarray(rows)
         q = np.einsum("ij,ij->i", x.conj(), _matmul(x, self.matrix.T)).real

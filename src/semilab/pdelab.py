@@ -16,6 +16,8 @@ ghost boundary value, which makes the discrete quadratic form equal
 -kappa |x2(1)|^2 exactly in the h-weighted inner product.
 """
 
+import numbers
+
 import numpy as np
 
 from .cayley import AccretiveOperator
@@ -48,6 +50,10 @@ class Grid1D(object):
     """
 
     def __init__(self, n_cells):
+        if isinstance(n_cells, bool) or \
+                not isinstance(n_cells, numbers.Integral):
+            raise ValueError("n_cells must be an integer, got %r"
+                             % (n_cells,))
         n = int(n_cells)
         if n < 2:
             raise ValueError("n_cells must be at least 2, got %d" % n)
@@ -126,19 +132,26 @@ class PdeCoefficients(object):
         self.positivity_floor = float(floor)
 
 
+def _forward_difference(grid):
+    """The one difference stencil: the n-square (x_i - x_{i-1})/h from
+    nodes xi_1 .. xi_n (xi_n = 1) to midpoints, x(0) = 0 eliminated."""
+    n = grid.n_cells
+    h = grid.h
+    d1 = np.zeros((n, n))
+    idx = np.arange(n)
+    d1[idx, idx] = 1.0 / h
+    d1[idx[1:], idx[:-1]] = -1.0 / h
+    return d1
+
+
 def grad_div_pair(grid):
     """Forward-difference gradient G and its exact negative adjoint Dv.
 
-    G maps n-1 interior node values to n midpoint values with zero
-    boundary values; Dv = -G^T maps midpoint values back to interior
-    nodes.  Returned as real (float64) matrices.
+    G, the stencil without the node xi = 1, maps n-1 interior node values
+    to n midpoint values with zero boundary values; Dv = -G^T maps
+    midpoint values back to interior nodes.  Both are float64.
     """
-    n = grid.n_cells
-    h = grid.h
-    g = np.zeros((n, n - 1))
-    idx = np.arange(n - 1)
-    g[idx, idx] = 1.0 / h
-    g[idx + 1, idx] = -1.0 / h
+    g = np.ascontiguousarray(_forward_difference(grid)[:, :-1])
     return g, -g.T
 
 
@@ -227,26 +240,6 @@ def wave_combined_ext(grid, coeffs, require_uniform=True):
     return _damped_wave(grid, coeffs, ("k_s", "k_v"), require_uniform)
 
 
-def _degenerate_difference_blocks(grid, kappa):
-    """Difference blocks of the degenerate family.
-
-    d1 maps node values (xi_1 .. xi_n, with x2(0) = 0 eliminated) to
-    midpoint differences; d2 = -d1^T maps midpoint values to node values
-    with a zero ghost value at xi = 1; the boundary matrix e_block holds
-    the -kappa/h elimination of the ghost value x1(1) = -kappa x2(1).
-    """
-    n = grid.n_cells
-    h = grid.h
-    d1 = np.zeros((n, n))
-    idx = np.arange(n)
-    d1[idx, idx] = 1.0 / h
-    d1[idx[1:], idx[:-1]] = -1.0 / h
-    d2 = -d1.T
-    e_block = np.zeros((n, n))
-    e_block[n - 1, n - 1] = -kappa / h
-    return d1, d2, e_block
-
-
 def degenerate_ext(grid, coeffs):
     """Degenerate-parabolic extended operator with coupled boundary.
 
@@ -258,10 +251,11 @@ def degenerate_ext(grid, coeffs):
     h-weighted inner product.
     """
     n = grid.n_cells
-    d1, d2, e_block = _degenerate_difference_blocks(grid, coeffs.kappa)
+    d1 = _forward_difference(grid)
     beta = np.diag(beta_midpoints(grid, coeffs.alpha_exp))
     zeros_n = np.zeros((n, n))
-    a11 = np.block([[zeros_n, d1], [d2, e_block]])
+    a11 = np.block([[zeros_n, d1], [-d1.T, zeros_n]])
+    a11[-1, -1] = -coeffs.kappa / grid.h
     a12 = np.vstack([zeros_n, beta])
     a21 = np.hstack([zeros_n, -beta])
     return ExtendedOperator(a11, a12, a21, zeros_n)
@@ -277,14 +271,14 @@ def degenerate_as1(grid, coeffs):
     """
     n = grid.n_cells
     h = grid.h
-    d1, d2, _ = _degenerate_difference_blocks(grid, coeffs.kappa)
+    d1 = _forward_difference(grid)
     beta = beta_midpoints(grid, coeffs.alpha_exp)
     # a subnormal s has 1/s = inf, which gives d = 0, its limit as s -> 0
     with np.errstate(over="ignore", divide="ignore"):
         diff = 1.0 / (1.0 / coeffs.s_fun + beta ** 2)
         # Robin elimination at xi = 1 shrinks the last flux coefficient
         diff[n - 1] = 1.0 / (1.0 / diff[n - 1] + coeffs.kappa / h)
-    return d1 @ (np.diag(diff) @ d2)
+    return d1 @ (diff[:, None] * -d1.T)
 
 
 def degenerate_loop_path(grid, coeffs):

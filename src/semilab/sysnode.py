@@ -105,7 +105,7 @@ def _loop_solve(node, km, name):
     factor, named ``name``, with the unit-anchored cond.  When K D is
     exactly zero there is no SVD: factor None, cond 1.0 per member.  X is
     None when one matrix is singular; a stack names its first singular
-    member in a ValueError.  A diagonal K, the S of a PDE loop or the
+    member in a ValueError.  A real diagonal K, the S of a PDE loop or the
     identity of the external Cayley transform, scales the rows of C and D.
     """
     if not node.d.any() or not (kd := _matmul(km, node.d)).any():
@@ -150,7 +150,8 @@ def passivity_check(node):
 
     the quadratic form of the pointwise passivity inequality
     2 Re <z, x> <= ||u||^2 - ||y||^2 expanded over (x, u).  The node is
-    scattering passive iff the returned value is at most 1e-9.
+    scattering passive iff the returned value is at most 1e-9 (-inf, the
+    max over no eigenvalues, for a node with neither state nor channel).
     """
     a, b, c, d = node.a, node.b, node.c, node.d
     n, m = node.nstates, node.ninputs
@@ -161,4 +162,5 @@ def passivity_check(node):
         block[..., :n, n:] = cross = b + ch @ d
         block[..., n:, :n] = cross.conj().mT
         block[..., n:, n:] = d.conj().mT @ d - np.eye(m, dtype=d.dtype)
-    return _per_member(_herm_eigvalsh(block, "passivity block")[..., -1], a)
+    return _per_member(_herm_eigvalsh(block, "passivity block").max(
+        axis=-1, initial=-np.inf), a)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ class TestGrid:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             Grid1D(1)
+
+    @pytest.mark.parametrize("n_cells", [2.7, "8", True],
+                             ids=["float", "str", "bool"])
+    def test_refuses_a_non_integral_cell_count(self, n_cells):
+        # a cell count is never truncated or parsed
+        with pytest.raises(ValueError, match=(
+                "^n_cells must be an integer, got %s$"
+                % re.escape(repr(n_cells)))):
+            Grid1D(n_cells)
+        with pytest.raises(ValueError, match="^n_cells must be an integer"):
+            PdeCoefficients(n_cells)
+
+    def test_takes_a_numpy_integer(self):
+        assert Grid1D(np.int64(8)).n_cells == 8
 
     def test_points(self):
         g = Grid1D(4)
@@ -106,6 +122,15 @@ class TestGradDivPair:
         # xi has zero boundary values, so interior rows see slope 1
         vals = g @ grid.interior_nodes.astype(complex)
         assert np.allclose(vals[1:-1], 1.0)
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_degenerate_difference_extends_the_gradient(self, n):
+        # the degenerate family's difference is the wave's gradient with
+        # the node xi = 1 appended: the upper-right block of A11 without
+        # its last column is G exactly
+        grid = Grid1D(n)
+        a = degenerate_ext(grid, PdeCoefficients(grid, kappa=0.7)).a
+        assert np.array_equal(a[:n, n:-1], grad_div_pair(grid)[0])
 
     def test_principal_eigenvalue_and_order(self):
         # discrete -div grad eigenvalue (4/h^2) sin^2(pi h/2) -> pi^2, order 2

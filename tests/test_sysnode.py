@@ -192,6 +192,17 @@ class TestPassivityCheck:
         node = SystemNode(zero, zero, zero, np.array([[2.0 + 0j]]))
         assert passivity_check(node) == pytest.approx(3.0)
 
+    def test_no_state_and_no_channel_gives_minus_inf(self):
+        # the max over no eigenvalues, one per member of a stack
+        assert passivity_check(SystemNode(*(np.zeros((0, 0)),) * 4)) == \
+            -np.inf
+        stack = SystemNode(*(np.zeros((2, 0, 0)),) * 4)
+        assert passivity_check(stack).tolist() == [-np.inf, -np.inf]
+        # one state and no channel: the block is A + A* alone
+        node = SystemNode(-np.eye(1), np.zeros((1, 0)), np.zeros((0, 1)),
+                          np.zeros((0, 0)))
+        assert passivity_check(node) == -2.0
+
     @pytest.mark.filterwarnings("error")
     @OVERFLOWING
     def test_refuses_an_overflowing_block(self, a, prefix):
