@@ -46,6 +46,7 @@ from .numkernel import (
 from .pdelab import (
     Grid1D,
     PdeCoefficients,
+    _wave_order,
     degenerate_as1,
     energy_gram,
     sine_start,
@@ -480,12 +481,12 @@ def run_verify(config):
 
 
 def _simulate_setup(config):
-    """Generator, Gram and smooth start for the configured PDE experiment."""
+    """Generator, Gram, smooth start and cn_step order of the experiment."""
     grid = Grid1D(config.n)
     coeffs = _coefficients(config, grid)
     if config.experiment == "degenerate":
         return (degenerate_as1(grid, coeffs), Gram(grid.h * np.eye(config.n)),
-                sine_start(grid, degenerate=True))
+                sine_start(grid, degenerate=True), None)
     if config.experiment == "wave_heat":
         a, gram = wave_ext(grid).matrix, energy_gram(grid, coeffs)
     else:
@@ -494,7 +495,7 @@ def _simulate_setup(config):
                    "combined": wave_combined_ext}[config.experiment]
         ext, gram, s_op = builder(grid, coeffs, require_uniform=True)
         a = internal_loop(ext, s_op).a_s
-    return _matmul(a, gram.matrix), gram, sine_start(grid)
+    return _matmul(a, gram.matrix), gram, sine_start(grid), _wave_order(grid)
 
 
 def _csv_blocks(times, energy, bound):
@@ -528,10 +529,10 @@ def run_simulate(config):
     if config.T / config.dt > MAX_SIMULATE_STEPS + 0.5:
         raise ValueError("T / dt must be at most %d steps, got T = %r, "
                          "dt = %r" % (MAX_SIMULATE_STEPS, config.T, config.dt))
-    generator, gram, x0 = _simulate_setup(config)
+    generator, gram, x0, order = _simulate_setup(config)
     try:
         traj = simulate_semigroup(generator, gram, x0, config.T, config.dt,
-                                  config.stepper)
+                                  config.stepper, order=order)
     except OverflowError as exc:
         # the message names dt when the step e^{A dt} overflows, and T when
         # the states of a growing generator do

@@ -32,9 +32,10 @@ I - K D.  The Cayley and feedback constructions factor each matrix once
 through ``SvdFactor``, which keeps the singular vectors; the one-shot
 ``svd_solve`` (singular values, then LU) is the Crank-Nicolson step's.
 That step first tries ``_banded_inverse``, block-tridiagonal elimination
-of a banded factor and the one place a matrix's sparsity is used; it
-certifies its own inverse, so the rule needs no SVD there.  ``expm``
-solves against its (13, 13) Pade denominator with numpy directly.
+of a banded factor in the grid order handed over by its assembly, the
+one place a matrix's sparsity is used; it certifies its own inverse, so
+the rule needs no SVD there.  ``expm`` solves against its (13, 13) Pade
+denominator with numpy directly.
 """
 
 import math
@@ -207,44 +208,16 @@ def _require_regular(name, cond):
 _BAND_BLOCK = 16
 
 
-def _level_order(rows, cols, n):
-    """Cuthill-McKee order of the n nodes joined by (rows[k], cols[k]):
-    breadth first from a node of least degree in each component, the
-    unnumbered neighbours of each node by increasing degree."""
-    ends = np.concatenate([rows, cols])
-    by_end = np.argsort(ends, kind="stable")
-    neighbours = np.concatenate([cols, rows])[by_end].tolist()
-    bounds = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    degree = np.diff(bounds)
-    seen = [False] * n
-    order = []
-    for root in np.argsort(degree, kind="stable").tolist():
-        if seen[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            node = order[head]
-            head += 1
-            new = sorted({j for j in neighbours[bounds[node]:bounds[node + 1]]
-                          if not seen[j]}, key=lambda j: (degree[j], j))
-            for j in new:
-                seen[j] = True
-            order.extend(new)
-    return np.array(order, dtype=np.intp)
-
-
-def _banded_inverse(f):
+def _banded_inverse(f, order=None):
     """F^{-1} of one square F by block-tridiagonal elimination, or None.
 
-    F is renumbered in the Cuthill-McKee order of its nonzero pattern
-    (``_level_order``), cut into blocks of _BAND_BLOCK rows, and solved
-    against the renumbering's permutation by block LU: each diagonal
-    Schur block is factored by np.linalg.solve, with partial pivoting
-    inside the block and none across blocks, and the rows are numbered
-    back at the end.  The cost is O(n^2 _BAND_BLOCK) flops and about 8
-    numpy calls per block, against the dense LU's (8/3) n^3.
+    F is renumbered by ``order`` (the unknowns by grid position; their
+    own order when None), cut into blocks of _BAND_BLOCK rows, and
+    solved against the renumbering's permutation by block LU: each
+    diagonal Schur block is factored by np.linalg.solve, with partial
+    pivoting inside the block and none across blocks, and the rows are
+    numbered back at the end.  The cost is O(n^2 _BAND_BLOCK) flops and
+    about 8 numpy calls per block, against the dense LU's (8/3) n^3.
 
     X is returned only when it is certified: the probe
     ||F X v - v||_2 <= n eps ||F||_F ||X||_F ||v||_2 holds for two fixed
@@ -260,29 +233,20 @@ def _banded_inverse(f):
     certified F has cond(F) < COND_LIMIT, with no SVD.
 
     Returns None for a stack, a matrix of one block (n <= _BAND_BLOCK),
-    more nonzeros than a block-tridiagonal F can hold, an exactly
-    singular Schur block, and an X that fails either test (the
-    elimination reads only the band, so the probe also refuses an order
-    that leaves a nonzero outside it); the caller then takes
+    an exactly singular Schur block, and an X that fails either test
+    (the elimination reads only the band, so the probe also refuses an
+    F that is not block tridiagonal in ``order``); the caller then takes
     ``svd_solve``, and no input gets a worse step than its LU.
     """
     n = f.shape[-1]
     block = _BAND_BLOCK
     if f.ndim != 2 or n <= block:
         return None
-    # nonzero of a boolean mask takes about 2/3 the time of nonzero of f
-    pattern = f != 0
-    if np.count_nonzero(pattern) > 3 * block * n:
-        return None
-    rows, cols = np.nonzero(pattern)
-    del pattern
-    order = _level_order(rows, cols, n)
-    where = np.empty(n, dtype=np.intp)
-    where[order] = np.arange(n)
+    if order is None:
+        order = np.arange(n)
     # rows of P, the renumbering (P F P^T)[i, j] = F[order[i], order[j]],
     # become those of (P F P^T)^{-1} P = P F^{-1}
-    work = np.zeros((n, n), f.dtype)
-    work[np.arange(n), order] = 1.0
+    work = np.eye(n, dtype=f.dtype)[order]
     starts = range(0, n, block)
     gains = []
     # a singular F shows as non-finite entries, refused below unwarned
@@ -305,7 +269,7 @@ def _banded_inverse(f):
             work[s:e] = solved[:, hi - e:] @ work[s:e]
         for s, gain in zip(starts[-2::-1], gains[-2::-1]):
             work[s:s + block] -= gain @ work[s + block:s + 2 * block]
-        inverse = work[where]
+        inverse = work[np.argsort(order)]
         del work
         size = np.linalg.norm(f) * np.linalg.norm(inverse)
         probe = np.random.default_rng(0).standard_normal((n, 2))

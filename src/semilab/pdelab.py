@@ -155,14 +155,22 @@ def grad_div_pair(grid):
     return g, -g.T
 
 
+def _wave_order(grid):
+    """The wave state (interior nodes, then midpoints) by grid position."""
+    return np.argsort(np.concatenate([grid.interior_nodes, grid.midpoints]))
+
+
 def energy_gram(grid, coeffs):
     """Energy weight H = diag(1/rho, young) on (momentum, strain) states.
 
-    A 1/rho that overflows is left to Gram, which refuses it by name.
+    A rho so small that 1/rho overflows is refused by name.
     """
     with np.errstate(over="ignore"):
-        diag = np.concatenate([1.0 / coeffs.rho, coeffs.young])
-    return Gram(np.diag(diag))
+        inverse = 1.0 / coeffs.rho
+    if not np.isfinite(inverse).all():
+        raise ValueError("rho is too small: 1/rho overflows (smallest "
+                         "sample %r)" % float(coeffs.rho.min()))
+    return Gram(np.diag(np.concatenate([inverse, coeffs.young])))
 
 
 def sine_start(grid, degenerate=False):

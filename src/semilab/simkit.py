@@ -56,29 +56,32 @@ _LEDGER_BLOCK = 1024
 _CHUNK = 16
 
 
-def cn_step(a, dt):
+def cn_step(a, dt, order=None):
     """One-step Crank-Nicolson matrix (I - dt/2 A)^{-1}(I + dt/2 A).
 
     For dissipative A this is a contraction for every dt > 0.  Raises
     ValueError for an A with no rows, a dt that is not positive and
-    finite, and an F = I - dt/2 A singular to working precision by the
-    package's one rule (cond(F) not below COND_LIMIT).
+    finite, an ``order`` that does not permute A's unknowns, and an
+    F = I - dt/2 A singular to working precision by the package's one
+    rule (cond(F) not below COND_LIMIT).
 
-    A banded F whose inverse X numkernel._banded_inverse certifies (the
-    argument is in its docstring) gives S = 2X - I with no SVD; every
-    other F (a stack, one of at most 16 rows, a dense one or an
-    uncertified one) gets S and the rule from numkernel.svd_solve.  The
-    banded elimination pivots only inside its blocks.  For every
-    simulate generator A = A_S H, with H the diagonal energy weight and
-    A_S dissipative, H^{1/2} F H^{-1/2} = I - dt/2 H^{1/2} A_S H^{1/2}
-    has Hermitian part at least I, and so does its renumbering; block LU
-    of such a matrix is stable with no pivoting across blocks (J. W.
-    Demmel, N. J. Higham and R. S. Schreiber, Numer. Linear Algebra
-    Appl. 2, 1995), and the diagonal scaling by H^{1/2} only rescales
-    the block LU factors of the renumbered F.  cn_step does not see H,
-    which is why the inverse must pass its residual probe.  S itself is
-    dense either way: a banded solve per step would cost the stepping
-    loop some n/2 numpy calls where one product costs one.
+    ``order`` lists A's unknowns by grid position (their own order when
+    None).  An F whose inverse X numkernel._banded_inverse certifies in
+    that order (the argument is in its docstring) gives S = 2X - I with
+    no SVD; every other F (a stack, one of at most 16 rows, one not
+    banded in the order, an uncertified one) gets S and the rule from
+    numkernel.svd_solve.  The banded elimination pivots only inside its
+    blocks.  For every simulate generator A = A_S H, with H the diagonal
+    energy weight and A_S dissipative, H^{1/2} F H^{-1/2} =
+    I - dt/2 H^{1/2} A_S H^{1/2} has Hermitian part at least I, and so
+    does its renumbering; block LU of such a matrix is stable with no
+    pivoting across blocks (J. W. Demmel, N. J. Higham and R. S.
+    Schreiber, Numer. Linear Algebra Appl. 2, 1995), and the diagonal
+    scaling by H^{1/2} only rescales the block LU factors of the
+    renumbered F.  cn_step does not see H, which is why the inverse must
+    pass its residual probe.  S itself is dense either way: a banded
+    solve per step would cost the stepping loop some n/2 numpy calls
+    where one product costs one.
     """
     m = _square(a, "A")
     if not m.shape[-1]:
@@ -88,13 +91,19 @@ def cn_step(a, dt):
         raise ValueError("dt must be positive, got %g" % dt)
     if not np.isfinite(dt):
         raise ValueError("dt must be finite, got %r" % dt)
+    if order is not None:
+        order = np.asarray(order)
+        if order.dtype.kind not in "iu" or not np.array_equal(
+                np.sort(order), np.arange(m.shape[-1])):
+            raise ValueError("order must permute A's %d unknowns"
+                             % m.shape[-1])
     name = "I - (dt/2) A"
     ident = np.eye(m.shape[-1], dtype=m.dtype)
     # an overflowing dt/2 A is refused by name below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         factor = ident - (dt / 2.0) * m
     factor = as_complex_matrix(factor, name)
-    inverse = _banded_inverse(factor)
+    inverse = _banded_inverse(factor, order)
     if inverse is None:
         return svd_solve(factor, ident + (dt / 2.0) * m, name)[0]
     # S = 2 F^{-1} - I, in the inverse's own buffer
@@ -148,17 +157,19 @@ def _steps_of(T, dt):
 
 
 def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
-                       stepper="expm"):
+                       stepper="expm", order=None):
     """March x' = Ax and record the (possibly weighted) squared norm.
 
     stepper is "expm" (exact) or "crank_nicolson"; the one-step matrix is
-    built once and reused, so dt must divide T.  The steps run in the
-    dtype numpy promotes the one-step matrix and x0 to: float64 for a
-    real generator and start, complex128 otherwise.  Each block of
-    _LEDGER_BLOCK states is reduced to its energies before the next one
-    overwrites it; the states are not kept.  Each energy, Gram.squared_norms
-    (H = I for gram None), is nonnegative and, for A dissipative in the H
-    inner product, nonincreasing up to roundoff.
+    built once and reused, so dt must divide T.  ``order`` goes to
+    ``cn_step`` only: a wave's e^{A dt} in grid order fills with
+    subnormals that slow every step.  The steps run in the dtype numpy
+    promotes the one-step matrix and x0 to: float64 for a real generator
+    and start, complex128 otherwise.  Each block of _LEDGER_BLOCK states
+    is reduced to its energies before the next one overwrites it; the
+    states are not kept.  Each energy, Gram.squared_norms (H = I for
+    gram None), is nonnegative and, for A dissipative in the H inner
+    product, nonincreasing up to roundoff.
 
     A run of nsteps >= 16 dim steps views each block as chunks of
     b = _CHUNK = 16 steps.  Q = S^b - I comes from Q = S - I by four
@@ -206,7 +217,7 @@ def simulate_semigroup(a, gram=None, x0=None, T=1.0, dt=1e-2,
             raise OverflowError("dt = %r is too large a step: %s"
                                 % (float(dt), exc)) from exc
     elif stepper == "crank_nicolson":
-        step = cn_step(m, float(dt))
+        step = cn_step(m, float(dt), order)
     else:
         raise ValueError("unknown stepper %r" % (stepper,))
     # one cast here, so that matmul never mixes dtypes inside the loop

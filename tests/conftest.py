@@ -67,8 +67,8 @@ def banded_results(monkeypatch):
     results = []
     banded = simkit._banded_inverse
 
-    def recorded(f):
-        inverse = banded(f)
+    def recorded(f, order=None):
+        inverse = banded(f, order)
         results.append(inverse is not None)
         return inverse
 

@@ -457,10 +457,25 @@ class TestRunSimulate:
     @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
     def test_setup_is_float64(self, experiment):
         # every PDE generator is real, so it steps in float64
-        generator, gram, x0 = _simulate_setup(
+        generator, gram, x0, _ = _simulate_setup(
             ExperimentConfig(experiment=experiment, n=8))
         assert (generator.dtype, gram.matrix.dtype, x0.dtype) == \
             (np.float64,) * 3
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("experiment, width", [
+        ("viscous", 1), ("structural", 2), ("combined", 2), ("wave_heat", 1),
+        ("degenerate", 1)])
+    def test_setup_order_makes_the_factor_banded(self, experiment, width, n):
+        # F = I - dt/2 A in the handed-over order (the unknowns' own order
+        # for None) has nonzeros only within width of the diagonal
+        config = ExperimentConfig(experiment=experiment, n=n)
+        generator, _, _, order = _simulate_setup(config)
+        if order is None:
+            order = np.arange(len(generator))
+        f = np.eye(len(generator)) - config.dt / 2.0 * generator
+        rows, cols = np.nonzero(f[np.ix_(order, order)])
+        assert np.abs(rows - cols).max() == width
 
     @pytest.mark.parametrize("stepper", ["expm", "crank_nicolson"])
     @pytest.mark.parametrize("experiment", _COMMANDS["simulate"])
@@ -474,8 +489,8 @@ class TestRunSimulate:
         real_setup = semilab.cli._simulate_setup
 
         def complex_setup(config):
-            generator, gram, x0 = real_setup(config)
-            return generator.astype(np.complex128), gram, x0
+            generator, gram, x0, order = real_setup(config)
+            return generator.astype(np.complex128), gram, x0, order
 
         monkeypatch.setattr(semilab.cli, "_simulate_setup", complex_setup)
         results.append(self.simulate(text))
@@ -520,7 +535,7 @@ class TestRunSimulate:
             energy[_LEDGER_BLOCK - 1:_LEDGER_BLOCK + 1] = energy[1:3]
         traj = Trajectory(times, energy)
         monkeypatch.setattr(semilab.cli, "simulate_semigroup",
-                            lambda *args: traj)
+                            lambda *args, **kwargs: traj)
         _, blocks = run_simulate(parse_config("experiment = viscous\nn = 4\n"))
         blocks = list(blocks)
         assert [block.count("\n") for block in blocks] == block_lines
@@ -717,19 +732,33 @@ class TestMain:
         ("experiment = wave_heat\nrho = constant:1e-308\n",
          "gram matrix has a non-finite Hermitian part"),
         ("experiment = wave_heat\nrho = constant:1e-309\n",
-         "gram matrix has non-finite entries"),
+         "rho is too small: 1/rho overflows (smallest sample 1e-309)"),
+        ("experiment = viscous\nrho = constant:1e-320\n",
+         "rho is too small: 1/rho overflows (smallest sample 1e-320)"),
         ("experiment = viscous\nrho = power:-400\n",
          "rho has non-finite samples"),
         ("experiment = viscous\nk_v = linear:1e308,1e308\n",
          "k_v has non-finite samples"),
     ], ids=["huge-damping", "tiny-density", "subnormal-density",
-            "power-overflow", "linear-overflow"])
+            "subnormal-viscous-density", "power-overflow",
+            "linear-overflow"])
     def test_overflowing_coefficient_is_refused_by_name(self, tmp_path,
                                                         capsys, text,
                                                         message):
         cfg = self.write_config(tmp_path, text + "n = 8\nT = 0.1\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.filterwarnings("error")
+    def test_ionorm_refuses_a_tiny_density_by_name(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "experiment = ionorm\nfixture = viscous_cayley\n"
+                      "n = 8\nrho = constant:1e-320\n")
+        assert main(["ionorm", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: rho is too small: 1/rho "
+                                           "overflows (smallest sample "
+                                           "1e-320)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_ionorm_horizon_below_dt_runs(self, tmp_path):
         cfg = self.write_config(
@@ -983,7 +1012,7 @@ class TestMain:
                                                  monkeypatch):
         # no experiment's generator grows, so a growing one stands in
         def growing_setup(config):
-            return np.eye(1), Gram(np.eye(1)), np.ones(1)
+            return np.eye(1), Gram(np.eye(1)), np.ones(1), None
 
         monkeypatch.setattr(semilab.cli, "_simulate_setup", growing_setup)
         cfg = self.write_config(tmp_path,

@@ -492,11 +492,10 @@ class TestHermitianRule:
             assert verdicts[-2:] == [True, False]
 
 
-@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("n", SIZES)
-def test_diagonal_verdicts_call_no_eigensolver(n, complex_, lapack_calls):
-    # magnitudes 1e-30 .. 1e30 (squared in D* D): LAPACK does not rescale;
-    # a complex diagonal takes the eigensolver, with the same values
+def diagonal_verdicts(n, complex_, lapack_calls):
+    """The margin and passivity verdicts of diagonal A and D, next to the
+    dense ones; the eigensolver calls of the verdicts stay in lapack_calls.
+    Magnitudes 1e-30 .. 1e30 (squared in D* D): LAPACK does not rescale."""
     rng = np.random.default_rng(n)
     a, d = (np.diag(spread_diagonal(rng, n, complex_)) for _ in range(2))
     zero = np.zeros((n, n))
@@ -505,8 +504,20 @@ def test_diagonal_verdicts_call_no_eigensolver(n, complex_, lapack_calls):
             dense_herm_eigvalsh(lmi_block_by_hand(node))[-1]]
     del lapack_calls[:]
     got = [dissipativity_margin(a), passivity_check(node)]
-    assert lapack_calls == (["eigvalsh"] * 2 if complex_ else [])
     assert same_bits(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("n", SIZES, ids=["%d-real" % n for n in SIZES])
+def test_diagonal_verdicts_call_no_eigensolver(n, lapack_calls):
+    diagonal_verdicts(n, False, lapack_calls)
+    assert lapack_calls == []
+
+
+@pytest.mark.parametrize("n", SIZES, ids=["%d-complex" % n for n in SIZES])
+def test_complex_diagonal_verdicts_take_the_eigensolver(n, lapack_calls):
+    # a complex diagonal takes the dense path, with the same values
+    diagonal_verdicts(n, True, lapack_calls)
+    assert lapack_calls == ["eigvalsh"] * 2
 
 
 def package_trees():

@@ -100,10 +100,12 @@ class TestCoefficients:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_energy_weight_is_refused_by_name(self):
-        coeffs = PdeCoefficients(Grid1D(8), rho=1e-309)
-        with pytest.raises(ValueError,
-                           match="^gram matrix has non-finite entries$"):
-            energy_gram(coeffs.grid, coeffs)
+        for rho in (1e-309, 1e-320):
+            coeffs = PdeCoefficients(Grid1D(8), rho=rho)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "rho is too small: 1/rho overflows (smallest sample "
+                    "%r)" % rho)):
+                energy_gram(coeffs.grid, coeffs)
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
     def test_rejects_non_finite_kappa(self, kappa):

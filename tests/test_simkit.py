@@ -132,10 +132,10 @@ class TestCnStep:
     def test_dissipative_generator_needs_no_svd(self, rng, svd_calls):
         # a banded F certifies its own inverse; a dense one takes
         # svd_solve, whose one values-only SVD decides the rule
-        banded = simulate_generator("viscous", 32)[0]
+        banded, _, order = simulate_generator("viscous", 32)
         dense = random_dissipative(rng, 6)
         for dt in (1e-3, 0.5, 1e3):
-            cn_step(banded, dt)
+            cn_step(banded, dt, order)
         assert svd_calls == []
         for dt in (1e-3, 0.5, 1e3):
             cn_step(dense, dt)
@@ -149,6 +149,15 @@ class TestCnStep:
         assert svd_calls == [{"compute_uv": False}]
         want, _ = svd_solve(np.eye(2) - a, np.eye(2) + a, "I - (dt/2) A")
         assert step.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [0, 1, 3],
+                                       [0.0, 1.0, 2.0], [[0, 1, 2]]],
+                             ids=["repeated", "short", "out_of_range",
+                                  "float", "matrix"])
+    def test_refuses_an_order_that_is_no_permutation(self, order):
+        with pytest.raises(ValueError,
+                           match=r"^order must permute A's 3 unknowns$"):
+            cn_step(-np.eye(3), 0.1, order)
 
     def test_solver_failure_the_rule_does_not_explain_propagates(
             self, monkeypatch):
@@ -248,9 +257,11 @@ class TestCnStepSingularityOracle:
 
 
 def simulate_generator(experiment, n):
-    """The generator and dt of a simulate run (cli._simulate_setup)."""
+    """The generator, dt and grid order of a simulate run
+    (cli._simulate_setup)."""
     config = parse_config("experiment = %s\nn = %d\n" % (experiment, n))
-    return _simulate_setup(config)[0], config.dt
+    a, _, _, order = _simulate_setup(config)
+    return a, config.dt, order
 
 
 def dense_cn_step(a, dt):
@@ -268,13 +279,13 @@ def path_laplacian(n):
 
 
 def complex_banded_generator(rng, n):
-    """A dissipative complex tridiagonal generator, renumbered at random
-    so that only the Cuthill-McKee order makes it banded again."""
+    """A dissipative complex tridiagonal generator, renumbered at random,
+    and the order that makes it banded again."""
     off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     a = np.diag(off, 1) - np.diag(off.conj(), -1)
     a -= np.diag(rng.uniform(0.0, 2.0, n) - 1j * rng.standard_normal(n))
-    order = rng.permutation(n)
-    return a[np.ix_(order, order)]
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], np.argsort(perm)
 
 
 # dims 191 (the waves) and 160 (degenerate)
@@ -295,33 +306,38 @@ class TestBandedCnStep:
         blocks (dim 17), takes the banded step (the recorded call) with no
         SVD, within N eps ||S||_F of the dense one."""
         if case == "complex":
-            a, dt = complex_banded_generator(rng, 180), 0.1
+            (a, order), dt = complex_banded_generator(rng, 180), 0.1
         elif case == "wide_dt":
-            a, dt = simulate_generator("combined", 96)[0], 10.0
+            a, _, order = simulate_generator("combined", 96)
+            dt = 10.0
         elif case == "two_blocks":
-            a, dt = simulate_generator("degenerate", 17)
+            a, dt, order = simulate_generator("degenerate", 17)
         else:
-            a, dt = simulate_generator(case, dict(CN_EXPERIMENTS)[case])
-        step = cn_step(a, dt)
+            a, dt, order = simulate_generator(case, dict(CN_EXPERIMENTS)[case])
+        step = cn_step(a, dt, order)
         assert banded_results == [True] and svd_calls == []
         want = dense_cn_step(a, dt)
         assert step.dtype == want.dtype
         gap = np.linalg.norm(step - want)
         assert gap <= len(a) * np.finfo(float).eps * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("case", ["stack", "dense", "small", "star"])
+    @pytest.mark.parametrize("case", ["stack", "dense", "small", "star",
+                                      "renumbered"])
     def test_other_inputs_keep_the_dense_bits(self, rng, banded_results,
                                               case):
         if case == "stack":
-            a = np.stack([complex_banded_generator(rng, 180)] * 2)
+            a = np.stack([complex_banded_generator(rng, 180)[0]] * 2)
+        elif case == "renumbered":
+            # given no order, the elimination keeps the random numbering,
+            # in which F is not banded
+            a = complex_banded_generator(rng, 180)[0]
         elif case == "dense":
             m = rng.standard_normal((180, 180))
             a = m - m.T - np.eye(180)
         elif case == "star":
-            # F = f, 598 nonzeros (under the dense-pattern guard), whose
-            # Cuthill-McKee order leaves a nonzero 12 blocks off the
-            # diagonal: the elimination reads only the band, so the probe
-            # refuses its X
+            # F = f, whose row and column 0 reach unknowns 12 blocks off
+            # the diagonal: the elimination reads only the band, so the
+            # probe refuses its X
             f = 4.0 * np.eye(200)
             f[0, 1:] = f[1:, 0] = 0.01
             a = (np.eye(200) - f) / 0.005
